@@ -15,7 +15,9 @@ Determinism: all randomness comes from ``numpy.random.Generator`` backed
 by PCG64, seeded with the run seed. Draws are consumed in fixed blocks
 (pair indices i, then offsets j, then epsilons) of ``_BLOCK`` steps, so a
 given (seed, t_max) always sees the same stream regardless of snapshot
-schedule. Seed 0 is legal.
+schedule. ``_BLOCK`` and that draw order are part of the reproducibility
+contract; ``_CHUNK``, the number of steps the loop takes from a block at a
+time, is not. Seed 0 is legal.
 """
 
 from __future__ import annotations
@@ -29,6 +31,11 @@ import numpy as np
 # loop free of generator calls. Part of the reproducibility contract:
 # changing it changes golden outputs.
 _BLOCK = 1 << 17
+
+# Steps of a block converted to Python lists at a time, which bounds the
+# memory held by list copies of the draws. Not part of the contract: any
+# value gives the same outputs.
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -49,7 +56,7 @@ class SimulationParams:
     snapshot_times: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.n_agents, int) or self.n_agents < 2:
+        if not _is_integer(self.n_agents) or self.n_agents < 2:
             raise ValueError(f"n_agents must be an integer >= 2, got {self.n_agents!r}")
         if not 0.0 <= self.saving_rate <= 1.0:
             raise ValueError(f"saving_rate must be in [0, 1], got {self.saving_rate!r}")
@@ -57,17 +64,24 @@ class SimulationParams:
             raise ValueError(f"surplus_rate must be in [0, 1], got {self.surplus_rate!r}")
         if not (math.isfinite(self.initial_asset) and self.initial_asset > 0):
             raise ValueError(f"initial_asset must be positive, got {self.initial_asset!r}")
-        if not isinstance(self.t_max, int) or self.t_max < 1:
+        if not _is_integer(self.t_max) or self.t_max < 1:
             raise ValueError(f"t_max must be a positive integer, got {self.t_max!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if not _is_integer(self.seed) or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         snaps = tuple(self.snapshot_times)
-        object.__setattr__(self, "snapshot_times", snaps)
         for t in snaps:
-            if not isinstance(t, int) or not 0 <= t <= self.t_max:
+            if not _is_integer(t) or not 0 <= t <= self.t_max:
                 raise ValueError(f"snapshot time {t!r} outside [0, t_max]")
         if any(a >= b for a, b in zip(snaps, snaps[1:])):
             raise ValueError(f"snapshot_times must be strictly ascending: {snaps}")
+        for name in ("n_agents", "t_max", "seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
+        object.__setattr__(self, "snapshot_times", tuple(int(t) for t in snaps))
+
+
+def _is_integer(value) -> bool:
+    # numpy integers count; bool, although a subclass of int, does not
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -76,7 +90,8 @@ class StepOutcome:
 
     ``pool`` is the total staked amount
     ``(1 - lambda) * (2 * m_p + gamma * (m_r - m_p))``. ``i``/``j`` are
-    filled by the run loop; a bare :func:`exchange_step` leaves them None.
+    optional agent indices for callers that record them; :func:`exchange_step`
+    leaves them None, and :func:`run_simulation` builds no StepOutcome.
     """
 
     epsilon: float
@@ -166,55 +181,55 @@ def run_simulation(params: SimulationParams) -> RunResult:
     bit-identical.
     """
     n = params.n_agents
+    t_max = params.t_max
     lam = params.saving_rate
     gam = params.surplus_rate
     oml = 1.0 - lam
-    one_minus_gam = 1.0 - gam
+    keep = oml * (1.0 - gam)  # the richer side's withheld share of the gap
     rng = np.random.default_rng(params.seed)
 
     assets = [float(params.initial_asset)] * n
     snapshots: dict[int, np.ndarray] = {}
     snap_iter = iter(params.snapshot_times)
-    next_snap = next(snap_iter, 0)  # step counter starts at 1, so 0 = "none left"
-    if params.snapshot_times and params.snapshot_times[0] == 0:
+    next_snap = next(snap_iter, t_max + 1)  # t_max + 1 = "none left"
+    if next_snap == 0:
         snapshots[0] = np.array(assets)
-        next_snap = next(snap_iter, 0)
+        next_snap = next(snap_iter, t_max + 1)
 
     cumulative = 0.0
     t = 0
-    remaining = params.t_max
-    while remaining:
-        block = min(_BLOCK, remaining)
-        ii = rng.integers(0, n, size=block).tolist()
-        jj = rng.integers(0, n - 1, size=block).tolist()
-        ee = rng.random(block).tolist()
-        for k in range(block):
-            i = ii[k]
-            j = jj[k]
-            if j >= i:
-                j += 1
-            mi = assets[i]
-            mj = assets[j]
-            if mi <= mj:
-                m_p, m_r = mi, mj
-            else:
-                m_p, m_r = mj, mi
-            gap = m_r - m_p
-            pool = oml * (2.0 * m_p + gam * gap)
-            new_poor = lam * m_p
-            new_rich = lam * m_r + oml * one_minus_gam * gap
-            eps = ee[k]
-            if mi <= mj:
-                assets[i] = new_poor + eps * pool
-                assets[j] = new_rich + (1.0 - eps) * pool
-            else:
-                assets[i] = new_rich + eps * pool
-                assets[j] = new_poor + (1.0 - eps) * pool
-            cumulative += pool
-            t += 1
+    while t < t_max:
+        block = min(_BLOCK, t_max - t)
+        ii = rng.integers(0, n, size=block)
+        jj = rng.integers(0, n - 1, size=block)
+        ee = rng.random(block)
+        jj += jj >= ii  # j is drawn from the n - 1 agents other than i
+        start = t
+        end = t + block
+        while t < end:
+            # steps t+1 .. stop; a chunk never runs past the next snapshot
+            stop = min(t + _CHUNK, end, next_snap)
+            lo = t - start
+            hi = stop - start
+            eps_chunk = ee[lo:hi]
+            for i, j, eps, fps in zip(ii[lo:hi].tolist(), jj[lo:hi].tolist(),
+                                      eps_chunk.tolist(), (1.0 - eps_chunk).tolist()):
+                mi = assets[i]
+                mj = assets[j]
+                if mi <= mj:
+                    gap = mj - mi
+                    pool = oml * (2.0 * mi + gam * gap)
+                    assets[i] = lam * mi + eps * pool
+                    assets[j] = lam * mj + keep * gap + fps * pool
+                else:
+                    gap = mi - mj
+                    pool = oml * (2.0 * mj + gam * gap)
+                    assets[i] = lam * mi + keep * gap + eps * pool
+                    assets[j] = lam * mj + fps * pool
+                cumulative += pool
+            t = stop
             if t == next_snap:
                 snapshots[t] = np.array(assets)
-                next_snap = next(snap_iter, 0)
-        remaining -= block
+                next_snap = next(snap_iter, t_max + 1)
 
     return RunResult(snapshots=snapshots, cumulative_pool=cumulative, params=params)

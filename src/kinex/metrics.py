@@ -60,36 +60,42 @@ def total_exchange(cumulative_pool: float, t_max: int) -> float:
     return cumulative_pool / (2.0 * t_max)
 
 
-def _merge_count(seq: list) -> tuple[list, int]:
-    # Merge sort that counts strict inversions (i < j with seq[i] > seq[j]).
-    n = len(seq)
-    if n <= 1:
-        return seq, 0
-    mid = n // 2
-    left, inv_l = _merge_count(seq[:mid])
-    right, inv_r = _merge_count(seq[mid:])
-    merged = []
-    inv = inv_l + inv_r
-    i = j = 0
-    len_l, len_r = len(left), len(right)
-    while i < len_l and j < len_r:
-        if left[i] <= right[j]:
-            merged.append(left[i])
-            i += 1
-        else:
-            merged.append(right[j])
-            j += 1
-            inv += len_l - i
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    return merged, inv
+def _inversions(ranks: np.ndarray) -> int:
+    """Number of pairs i < j with ranks[i] > ranks[j], for ranks in [0, n).
+
+    Bottom-up merge: at each level, pairs of sorted neighbouring blocks of
+    a power-of-two width are compared with one ``searchsorted`` over the
+    whole array (a row offset keeps each block apart), then merged. Pad
+    entries equal n, above every rank, so they add no inversion.
+    """
+    n = ranks.size
+    size = 1 << (n - 1).bit_length()
+    a = np.full(size, n, dtype=np.int64)
+    a[:n] = ranks
+    inversions = 0
+    width = 1
+    while width < size:
+        rows = a.reshape(-1, 2 * width)
+        n_rows = rows.shape[0]
+        offset = np.arange(n_rows, dtype=np.int64)[:, None] * (n + 1)
+        left = (rows[:, :width] + offset).ravel()
+        right = (rows[:, width:] + offset).ravel()
+        # left entries <= each right entry, counted from the start of the array
+        at_most = np.searchsorted(left, right, side="right")
+        # a right entry in row r has (r + 1) * width left entries up to its row's end
+        inversions += width * width * (n_rows * (n_rows + 1) // 2) - int(at_most.sum())
+        a = np.sort(rows, axis=1).ravel()
+        width *= 2
+    return inversions
 
 
-def _tied_pairs(values: list) -> int:
-    counts: dict = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    return sum(c * (c - 1) // 2 for c in counts.values())
+def _pairs_within(run_lengths: np.ndarray) -> int:
+    return int((run_lengths * (run_lengths - 1) // 2).sum())
+
+
+def _run_lengths(starts: np.ndarray) -> np.ndarray:
+    # lengths of the runs whose first positions are flagged in ``starts``
+    return np.diff(np.append(np.flatnonzero(starts), starts.size))
 
 
 def kendall_tau(assets_t1, assets_t2) -> float:
@@ -101,8 +107,10 @@ def kendall_tau(assets_t1, assets_t2) -> float:
     pair count). Two all-equal snapshots have no comparable pair; that
     degenerate tau is defined as 0 and warned about.
 
-    Runs in O(n log n) via inversion counting on the second snapshot after
-    sorting by the first.
+    Follows Knight (1966): sort the agents by the first snapshot, then the
+    second, and count inversions of the second snapshot's ranks, with
+    O(n log^2 n) numpy work. Pair counts are exact integers, so the result
+    does not depend on the input order.
     """
     x = np.asarray(assets_t1, dtype=float)
     y = np.asarray(assets_t2, dtype=float)
@@ -110,16 +118,25 @@ def kendall_tau(assets_t1, assets_t2) -> float:
         raise ValueError(f"snapshot length mismatch: {x.shape} vs {y.shape}")
     if x.ndim != 1 or x.size < 2:
         raise ValueError("kendall_tau needs 1-d vectors of length >= 2")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("kendall_tau requires finite assets")
     n = x.size
     n_pairs = n * (n - 1) // 2
 
-    pairs = sorted(zip(x.tolist(), y.tolist()))
-    y_in_x_order = [p[1] for p in pairs]
-    _, discordant = _merge_count(y_in_x_order)
+    _, y_rank, y_counts = np.unique(y, return_inverse=True, return_counts=True)
+    order = np.lexsort((y, x))
+    x_sorted = x[order]
+    y_rank = y_rank.ravel()[order]
+    discordant = _inversions(y_rank)
 
-    ties_x = _tied_pairs([p[0] for p in pairs])
-    ties_y = _tied_pairs(y_in_x_order)
-    ties_both = _tied_pairs(pairs)
+    x_starts = np.empty(n, dtype=bool)
+    x_starts[0] = True
+    np.not_equal(x_sorted[1:], x_sorted[:-1], out=x_starts[1:])
+    both_starts = x_starts.copy()
+    both_starts[1:] |= y_rank[1:] != y_rank[:-1]
+    ties_x = _pairs_within(_run_lengths(x_starts))
+    ties_y = _pairs_within(y_counts)
+    ties_both = _pairs_within(_run_lengths(both_starts))
     comparable = n_pairs - ties_x - ties_y + ties_both
     if comparable == 0:
         warnings.warn("all agent pairs are tied; tau defined as 0", stacklevel=2)

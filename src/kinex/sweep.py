@@ -11,7 +11,8 @@ Cells and replicates are embarrassingly parallel: with more than one
 worker they are dispatched to a process pool, and the aggregation always
 reduces results in (lambda-index, gamma-index, replicate-index) order, so
 output tables are bit-identical regardless of scheduling. The
-KINEX_THREADS environment variable caps the worker count.
+KINEX_THREADS environment variable sets the worker count when the caller
+passes none; the count never exceeds ``os.cpu_count()``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .exchange import SimulationParams, run_simulation
 from .metrics import gini, kendall_tau, total_exchange
 
@@ -98,12 +100,17 @@ def replicate_seed(base_seed: int, lambda_index: int, gamma_index: int,
 
 
 def _resolve_workers(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("KINEX_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    # explicit argument, else KINEX_THREADS, else all cores; never more than the cores
+    cores = os.cpu_count() or 1
+    if workers is None:
+        env = os.environ.get("KINEX_THREADS")
+        if not env:
+            return cores
+        try:
+            workers = int(env)
+        except ValueError:
+            raise ConfigError(f"KINEX_THREADS must be an integer, got {env!r}") from None
+    return max(1, min(int(workers), cores))
 
 
 def _replicate_metrics(spec: SweepSpec, li: int, gi: int, r: int) -> tuple[float, float, float]:
@@ -136,8 +143,8 @@ def _job_args(spec: SweepSpec):
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SweepCell]:
     """Evaluate the full grid; rows ordered lambda-major, then gamma.
 
-    ``workers`` overrides the KINEX_THREADS / cpu_count default. Results
-    are identical for any worker count.
+    ``workers`` overrides the KINEX_THREADS / cpu_count default; either is
+    capped at ``os.cpu_count()``. Results are identical for any worker count.
     """
     n_cells = len(spec.lambda_values) * len(spec.gamma_values)
     seeds = [replicate_seed(spec.base_seed, li, gi, r)

@@ -263,6 +263,13 @@ class TestConfigHandling:
         assert run_cli(["fit"]) == 2  # --table is required
         assert run_cli(["no-such-command"]) == 2
 
+    @pytest.mark.parametrize("threads", ["abc", "2.5"])
+    def test_non_integer_threads_rejected(self, tmp_path, monkeypatch, threads):
+        monkeypatch.setenv("KINEX_THREADS", threads)
+        cfg = write_config(tmp_path, SMALL_SWEEP)
+        assert run_cli(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o" / "sweep.csv").exists()
+
 
 def _tree_bytes(root: Path) -> dict:
     return {str(p.relative_to(root)): p.read_bytes()

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kinex import SimulationParams, exchange_step, run_simulation, sample_pair
+from kinex.exchange import _BLOCK, _CHUNK
 
 assets_st = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 unit_st = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -143,12 +144,65 @@ class TestSimulationParams:
         dict(snapshot_times=(5, 5)),
         dict(snapshot_times=(10, 2)),
         dict(snapshot_times=(200,)),
+        dict(n_agents=10.0),
+        dict(t_max=True),
+        dict(seed=True),
+        dict(seed=np.True_),
+        dict(snapshot_times=(True, 50)),
+        dict(snapshot_times=(50.0,)),
     ])
     def test_rejects_invalid_parameters(self, kwargs):
         base = dict(n_agents=10, saving_rate=0.5, surplus_rate=0.5, t_max=100)
         base.update(kwargs)
         with pytest.raises(ValueError):
             SimulationParams(**base)
+
+    def test_accepts_numpy_integers(self):
+        p = SimulationParams(n_agents=np.int64(10), saving_rate=0.5, surplus_rate=0.5,
+                             t_max=np.int64(100), seed=np.uint64(3),
+                             snapshot_times=(np.int64(0), np.int32(100)))
+        assert p == SimulationParams(n_agents=10, saving_rate=0.5, surplus_rate=0.5,
+                                     t_max=100, seed=3, snapshot_times=(0, 100))
+        assert all(type(v) is int for v in (p.n_agents, p.t_max, p.seed, *p.snapshot_times))
+
+
+def replay_through_exchange_step(params: SimulationParams) -> tuple[dict, float]:
+    """Reference run: the same block draws, one exchange_step per tick."""
+    n, lam, gam = params.n_agents, params.saving_rate, params.surplus_rate
+    rng = np.random.default_rng(params.seed)
+    assets = [params.initial_asset] * n
+    snapshots = {0: np.array(assets)} if 0 in params.snapshot_times else {}
+    cumulative = 0.0
+    t = 0
+    while t < params.t_max:
+        block = min(_BLOCK, params.t_max - t)
+        ii = rng.integers(0, n, size=block).tolist()
+        jj = rng.integers(0, n - 1, size=block).tolist()
+        ee = rng.random(block).tolist()
+        for k in range(block):
+            i, j = ii[k], jj[k]
+            if j >= i:
+                j += 1
+            out = exchange_step(assets[i], assets[j], lam, gam, ee[k])
+            assets[i], assets[j] = out.new_mi, out.new_mj
+            cumulative += out.pool
+            t += 1
+            if t in params.snapshot_times:
+                snapshots[t] = np.array(assets)
+    return snapshots, cumulative
+
+
+# (n, lambda, gamma, t_max, snapshot times): a short run, then chunk and
+# block boundaries, one step either side of them, time 0 and the extreme rates
+REPLAY_CASES = [
+    (7, 0.3, 0.6, 123, (123,)),
+    (2, 0.0, 0.0, 2 * _CHUNK + 3, (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3)),
+    (2, 1.0, 1.0, _CHUNK + 1, (_CHUNK + 1,)),
+    (13, 0.0, 1.0, 3 * _CHUNK, (_CHUNK, 2 * _CHUNK - 1, 3 * _CHUNK)),
+    (9, 1.0, 0.0, _CHUNK - 1, (0, _CHUNK - 1)),
+    (50, 0.25, 0.5, _BLOCK + _CHUNK + 2,
+     (_BLOCK - 1, _BLOCK, _BLOCK + 1, _BLOCK + _CHUNK, _BLOCK + _CHUNK + 2)),
+]
 
 
 class TestRunSimulation:
@@ -182,28 +236,18 @@ class TestRunSimulation:
         for t in (2500, 5000):
             assert a.snapshots[t].tobytes() == b.snapshots[t].tobytes()
 
-    def test_run_loop_replays_through_exchange_step(self):
+    @pytest.mark.parametrize("n, lam, gam, t_max, snaps", REPLAY_CASES,
+                             ids=[f"n{c[0]}-lam{c[1]}-gam{c[2]}-T{c[3]}" for c in REPLAY_CASES])
+    def test_run_loop_replays_through_exchange_step(self, n, lam, gam, t_max, snaps):
         # the inlined loop must implement exchange_step bit for bit
-        n, t_max, seed, lam, gam = 7, 123, 11, 0.3, 0.6
         p = SimulationParams(n_agents=n, saving_rate=lam, surplus_rate=gam,
-                             t_max=t_max, seed=seed, snapshot_times=(t_max,))
+                             t_max=t_max, seed=11, snapshot_times=snaps)
         result = run_simulation(p)
-
-        rng = np.random.default_rng(seed)
-        ii = rng.integers(0, n, size=t_max).tolist()
-        jj = rng.integers(0, n - 1, size=t_max).tolist()
-        ee = rng.random(t_max).tolist()
-        assets = [1.0] * n
-        cumulative = 0.0
-        for k in range(t_max):
-            i, j = ii[k], jj[k]
-            if j >= i:
-                j += 1
-            out = exchange_step(assets[i], assets[j], lam, gam, ee[k])
-            assets[i], assets[j] = out.new_mi, out.new_mj
-            cumulative += out.pool
-        assert np.array(assets).tobytes() == result.snapshots[t_max].tobytes()
-        assert cumulative == result.cumulative_pool
+        snapshots, cumulative = replay_through_exchange_step(p)
+        assert set(result.snapshots) == set(snaps) == set(snapshots)
+        for t in snaps:
+            assert result.snapshots[t].tobytes() == snapshots[t].tobytes(), t
+        assert float.hex(cumulative) == float.hex(result.cumulative_pool)
 
     def test_population_stays_non_negative(self):
         p = SimulationParams(n_agents=100, saving_rate=0.0, surplus_rate=0.0,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -129,6 +131,29 @@ class TestKendallTau:
             if len(set(x)) < 2 and len(set(y)) < 2:
                 continue
             assert kendall_tau(x, y) == brute_force_tau(x, y)
+
+    def test_matches_brute_force_on_tie_heavy_vectors(self):
+        # few distinct values, lengths across several power-of-two blocks,
+        # signed zeros (equal as values) and one constant snapshot
+        rng = np.random.default_rng(33)
+        for trial in range(60):
+            n = int(rng.integers(2, 700))
+            levels = int(rng.integers(1, 6))
+            x = rng.integers(0, levels, size=n).astype(float)
+            y = rng.integers(0, 3, size=n).astype(float)
+            if trial % 3 == 0:
+                y[y == 0.0] = np.where(rng.random(int((y == 0.0).sum())) < 0.5, 0.0, -0.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # all-tied draws warn and give 0
+                assert kendall_tau(x, y) == brute_force_tau(x, y)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_input(self, bad):
+        x = [1.0, 2.0, 3.0, 4.0]
+        with pytest.raises(ValueError, match="finite"):
+            kendall_tau(x, [1.0, bad, 3.0, 4.0])
+        with pytest.raises(ValueError, match="finite"):
+            kendall_tau([bad, 2.0, 3.0, 4.0], x)
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):

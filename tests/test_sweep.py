@@ -1,9 +1,11 @@
+import os
 import warnings
 
 import pytest
 
-from kinex import (SimulationParams, SweepSpec, gini_time_series, replicate_seed,
-                   run_sweep)
+from kinex import (ConfigError, SimulationParams, SweepSpec, gini_time_series,
+                   replicate_seed, run_sweep)
+from kinex.sweep import _resolve_workers
 
 
 def small_spec(**overrides):
@@ -36,6 +38,42 @@ class TestSweepSpec:
     def test_rejects_invalid_specs(self, kwargs):
         with pytest.raises(ValueError):
             small_spec(**kwargs)
+
+
+class TestResolveWorkers:
+    # resolves the count only; no process is started
+    @pytest.fixture(autouse=True)
+    def three_cores(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.delenv("KINEX_THREADS", raising=False)
+
+    def test_defaults_to_all_cores(self):
+        assert _resolve_workers(None) == 3
+
+    def test_env_sets_count_below_cores(self, monkeypatch):
+        monkeypatch.setenv("KINEX_THREADS", "2")
+        assert _resolve_workers(None) == 2
+
+    @pytest.mark.parametrize("threads", ["4", "100000"])
+    def test_env_capped_at_cores(self, monkeypatch, threads):
+        monkeypatch.setenv("KINEX_THREADS", threads)
+        assert _resolve_workers(None) == 3
+
+    def test_argument_wins_and_is_capped(self, monkeypatch):
+        monkeypatch.setenv("KINEX_THREADS", "1")
+        assert _resolve_workers(2) == 2
+        assert _resolve_workers(64) == 3
+        assert _resolve_workers(0) == 1
+
+    @pytest.mark.parametrize("threads", ["abc", "2.5", "1e3"])
+    def test_non_integer_env_is_config_error(self, monkeypatch, threads):
+        monkeypatch.setenv("KINEX_THREADS", threads)
+        with pytest.raises(ConfigError, match="KINEX_THREADS"):
+            _resolve_workers(None)
+
+    def test_unknown_core_count_means_one(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _resolve_workers(None) == 1
 
 
 class TestReplicateSeed:
