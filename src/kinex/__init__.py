@@ -10,8 +10,7 @@ disparity/flow/turnover trade-off.
 from .empirical import (CountryRecord, DerivedRecord, GroupFit, classify_groups,
                         derive, fit_groups, load_countries, percentile_thresholds)
 from .errors import ConfigError, DegenerateDataError, KinexError, ParseError
-from .exchange import (RunResult, SimulationParams, StepOutcome, exchange_step,
-                       run_simulation, sample_pair)
+from .exchange import RunResult, SimulationParams, run_simulation
 from .fitting import (FitResult, XYPoint, fit_linear, flow_gini_ratio_points,
                       tau_vs_flow_points)
 from .metrics import (GammaFit, Histogram, gamma_fit, gini, histogram,
@@ -24,11 +23,11 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError", "CountryRecord", "DegenerateDataError", "DerivedRecord",
     "FitResult", "GammaFit", "GiniSeries", "GroupFit", "Histogram",
-    "KinexError", "ParseError", "RunResult", "SimulationParams", "StepOutcome",
+    "KinexError", "ParseError", "RunResult", "SimulationParams",
     "SweepCell", "SweepSpec", "XYPoint", "classify_groups", "derive",
-    "exchange_step", "fit_groups", "fit_linear", "flow_gini_ratio_points",
+    "fit_groups", "fit_linear", "flow_gini_ratio_points",
     "gamma_fit", "gini", "gini_time_series", "histogram", "kendall_tau",
     "load_countries", "percentile_thresholds", "replicate_seed",
-    "run_simulation", "run_sweep", "sample_pair", "tau_vs_flow_points",
+    "run_simulation", "run_sweep", "tau_vs_flow_points",
     "total_exchange",
 ]

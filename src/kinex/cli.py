@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -23,36 +24,32 @@ from pathlib import Path
 from .empirical import (classify_groups, derive, fit_groups, load_countries,
                         percentile_thresholds)
 from .errors import ConfigError, DegenerateDataError, KinexError, ParseError
-from .exchange import SimulationParams, run_simulation
+from .exchange import SimulationParams, _is_integer, run_simulation
 from .fitting import fit_linear, flow_gini_ratio_points, tau_vs_flow_points
 from .metrics import gamma_fit, gini, histogram, kendall_tau, total_exchange
-from .sweep import SweepCell, SweepSpec, run_sweep
+from .sweep import SWEEP_COLUMNS, SweepSpec, read_sweep_table, resolve_times, run_sweep
 
 SCHEMA_COMMENT = "# kinex-schema v1"
 
+
+def _field_defaults(cls) -> dict:
+    # dataclass field defaults as JSON values (tuples become lists)
+    return {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+            for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING}
+
+
 DEFAULT_CONFIG = {
     "simulate": {
+        **_field_defaults(SimulationParams),  # snapshot_times is replaced below
         "n_agents": 1000,
         "saving_rate": 0.25,
         "surplus_rate": 0.5,
-        "initial_asset": 1.0,
-        "t_max": 100_000,
-        "seed": 0,
         "snapshot_times": None,  # default: decades 10^3.. <= t_max, plus t1/t2
-        "t1": None,              # default: round(0.99 * t_max)
-        "t2": None,              # default: t_max
+        "t1": None,              # t1/t2 default as in sweep.resolve_times
+        "t2": None,
         "bins": 50,
     },
-    "sweep": {
-        "lambda_values": [round(0.05 * k, 2) for k in range(1, 20)],
-        "gamma_values": [0.0, 0.1, 0.5, 1.0],
-        "n_agents": 1000,
-        "t_max": 100_000,
-        "t1": None,
-        "t2": None,
-        "replicates": 5,
-        "base_seed": 0,
-    },
+    "sweep": _field_defaults(SweepSpec),
     "empirical": {
         "thresholds": None,  # [t_low, t_high] in f units; default: 33rd/67th percentiles
     },
@@ -93,22 +90,8 @@ def load_config(path: str | None) -> dict:
     return config
 
 
-def _echo_config(config: dict, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "resolved_config.json"
-    path.write_text(json.dumps(config, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-
-
-def _resolve_times(t_max: int, t1, t2) -> tuple[int, int]:
-    if t2 is None:
-        t2 = t_max
-    if t1 is None:
-        t1 = min(round(0.99 * t_max), t2 - 1)
-    return int(t1), int(t2)
-
-
 # ---------------------------------------------------------------------------
-# table writers/readers
+# table writers
 
 
 def _cell(value) -> str | int | float:
@@ -117,13 +100,11 @@ def _cell(value) -> str | int | float:
 
 def _write_table(out_dir: Path, stem: str, columns: list[str], rows: list[list],
                  fmt: str) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
     if fmt == "json":
-        path = out_dir / f"{stem}.json"
         doc = {"schema": SCHEMA_COMMENT.lstrip("# "), "columns": columns,
                "rows": [[_cell(v) for v in row] for row in rows]}
-        path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-        return path
+        return _write_json(out_dir, f"{stem}.json", doc)
+    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{stem}.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(SCHEMA_COMMENT + "\n")
@@ -141,35 +122,6 @@ def _write_json(out_dir: Path, name: str, payload: dict) -> Path:
     return path
 
 
-def read_sweep_table(path: str | Path) -> list[SweepCell]:
-    """Read a sweep table previously written by ``kinex sweep``."""
-    path = Path(path)
-    if path.suffix == ".json":
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        rows = [dict(zip(doc["columns"], row)) for row in doc["rows"]]
-    else:
-        with open(path, newline="", encoding="utf-8") as fh:
-            lines = [line for line in fh if not line.startswith("#")]
-        rows = list(csv.DictReader(lines))
-    cells = []
-    for line_number, row in enumerate(rows, start=1):
-        try:
-            cells.append(SweepCell(
-                saving_rate=float(row["lambda"]),
-                surplus_rate=float(row["gamma"]),
-                mean_g=float(row["mean_g"]),
-                mean_f=float(row["mean_f"]),
-                mean_tau=float(row["mean_tau"]),
-                std_g=float(row.get("std_g") or 0.0),
-                std_f=float(row.get("std_f") or 0.0),
-                std_tau=float(row.get("std_tau") or 0.0),
-                replicates=int(row.get("replicates") or 1),
-            ))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad sweep table row: {exc}", line_number) from exc
-    return cells
-
-
 def _fit_payload(fit) -> dict:
     return {"slope": fit.slope, "intercept": fit.intercept,
             "r_squared": fit.r_squared, "n_points": fit.n_points}
@@ -184,41 +136,33 @@ def cmd_simulate(args) -> int:
     sim_cfg = config["simulate"]
     if args.seed is not None:
         sim_cfg["seed"] = args.seed
-    if args.out is not None:
-        config["output"]["dir"] = args.out
-    out_dir = Path(config["output"]["dir"])
+    out_dir = _output_dir(config, args.out)
     fmt = _output_format(config)
 
     t_max = sim_cfg["t_max"]
-    t1, t2 = _resolve_times(t_max, sim_cfg["t1"], sim_cfg["t2"])
-    if not 0 <= t1 < t2 <= t_max:
-        raise ConfigError(f"need 0 <= t1 < t2 <= t_max, got t1={t1}, t2={t2}, "
-                          f"t_max={t_max}")
-    sim_cfg["t1"], sim_cfg["t2"] = t1, t2
-    if sim_cfg["snapshot_times"] is None:
-        decades = []
-        decade = 1000
-        while decade <= t_max:
-            decades.append(decade)
-            decade *= 10
-        snapshot_times = decades
-    else:
-        snapshot_times = list(sim_cfg["snapshot_times"])
-    snapshot_times = sorted(set(snapshot_times) | {t1, t2, t_max})
-    sim_cfg["snapshot_times"] = snapshot_times
-
     try:
+        t1, t2 = resolve_times(t_max, sim_cfg["t1"], sim_cfg["t2"])
+        sim_cfg["t1"], sim_cfg["t2"] = t1, t2
+        snapshot_times = sim_cfg["snapshot_times"]
+        if snapshot_times is None:  # the decades 10^3, 10^4, ... up to t_max
+            snapshot_times = []
+            decade = 1000
+            while decade <= t_max:
+                snapshot_times.append(decade)
+                decade *= 10
+        snapshot_times = sorted(set(snapshot_times) | {t1, t2, t_max})
+        sim_cfg["snapshot_times"] = snapshot_times
         params = SimulationParams(
             n_agents=sim_cfg["n_agents"], saving_rate=sim_cfg["saving_rate"],
             surplus_rate=sim_cfg["surplus_rate"], initial_asset=sim_cfg["initial_asset"],
             t_max=t_max, seed=sim_cfg["seed"], snapshot_times=tuple(snapshot_times),
         )
-        bins = int(sim_cfg["bins"])
-        if bins < 1:
-            raise ValueError(f"bins must be >= 1, got {bins}")
-    except ValueError as exc:
+        bins = sim_cfg["bins"]
+        if not _is_integer(bins) or bins < 1:
+            raise ValueError(f"bins must be an integer >= 1, got {bins!r}")
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    _echo_config(config, out_dir)
+    _write_json(out_dir, "resolved_config.json", config)
 
     result = run_simulation(params)
 
@@ -265,40 +209,27 @@ def cmd_sweep(args) -> int:
     sweep_cfg = config["sweep"]
     if args.replicates is not None:
         sweep_cfg["replicates"] = args.replicates
-    if args.out is not None:
-        config["output"]["dir"] = args.out
-    out_dir = Path(config["output"]["dir"])
+    out_dir = _output_dir(config, args.out)
     fmt = _output_format(config)
 
     try:
-        spec = SweepSpec(
-            lambda_values=tuple(sweep_cfg["lambda_values"]),
-            gamma_values=tuple(sweep_cfg["gamma_values"]),
-            n_agents=sweep_cfg["n_agents"], t_max=sweep_cfg["t_max"],
-            t1=sweep_cfg["t1"], t2=sweep_cfg["t2"],
-            replicates=sweep_cfg["replicates"], base_seed=sweep_cfg["base_seed"],
-        )
-    except ValueError as exc:
+        spec = SweepSpec(**sweep_cfg)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     sweep_cfg["t1"], sweep_cfg["t2"] = spec.t1, spec.t2
-    _echo_config(config, out_dir)
+    _write_json(out_dir, "resolved_config.json", config)
 
     cells = run_sweep(spec)
-    rows = [[c.saving_rate, c.surplus_rate, c.mean_g, c.std_g, c.mean_f, c.std_f,
-             c.mean_tau, c.std_tau, c.replicates] for c in cells]
-    path = _write_table(out_dir, "sweep",
-                        ["lambda", "gamma", "mean_g", "std_g", "mean_f", "std_f",
-                         "mean_tau", "std_tau", "replicates"], rows, fmt)
+    rows = [[getattr(c, field) for field in SWEEP_COLUMNS.values()] for c in cells]
+    path = _write_table(out_dir, "sweep", list(SWEEP_COLUMNS), rows, fmt)
     print(f"sweep: wrote {len(cells)} cells to {path}")
     return 0
 
 
 def cmd_fit(args) -> int:
     config = load_config(args.config)
-    if args.out is not None:
-        config["output"]["dir"] = args.out
-    out_dir = Path(config["output"]["dir"])
-    _echo_config(config, out_dir)
+    out_dir = _output_dir(config, args.out)
+    _write_json(out_dir, "resolved_config.json", config)
 
     try:
         cells = read_sweep_table(args.table)
@@ -342,10 +273,8 @@ def cmd_fit(args) -> int:
 def cmd_empirical(args) -> int:
     config = load_config(args.config)
     if args.thresholds is not None:
-        config["empirical"]["thresholds"] = _parse_thresholds(args.thresholds)
-    if args.out is not None:
-        config["output"]["dir"] = args.out
-    out_dir = Path(config["output"]["dir"])
+        config["empirical"]["thresholds"] = args.thresholds.split(",")
+    out_dir = _output_dir(config, args.out)
     fmt = _output_format(config)
 
     try:
@@ -358,12 +287,16 @@ def cmd_empirical(args) -> int:
         thresholds = percentile_thresholds(derived)
         thresholds_source = "percentiles(33, 67) of f over complete records"
     else:
-        if (not isinstance(thresholds, (list, tuple)) or len(thresholds) != 2):
+        # from the config file, or the --thresholds flag split at its comma
+        if not isinstance(thresholds, (list, tuple)) or len(thresholds) != 2:
             raise ConfigError(f"thresholds must be a [low, high] pair, got {thresholds!r}")
-        thresholds = (float(thresholds[0]), float(thresholds[1]))
+        try:
+            thresholds = (float(thresholds[0]), float(thresholds[1]))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"thresholds must be numbers, got {thresholds!r}") from exc
         thresholds_source = "explicit"
     config["empirical"]["thresholds"] = list(thresholds)
-    _echo_config(config, out_dir)
+    _write_json(out_dir, "resolved_config.json", config)
 
     try:
         classified = classify_groups(derived, thresholds)
@@ -406,21 +339,20 @@ def cmd_empirical(args) -> int:
 # argument parsing
 
 
+def _output_dir(config: dict, override: str | None) -> Path:
+    if override is not None:
+        config["output"]["dir"] = override
+    out = config["output"]["dir"]
+    if not isinstance(out, str):
+        raise ConfigError(f"output dir must be a string, got {out!r}")
+    return Path(out)
+
+
 def _output_format(config: dict) -> str:
     fmt = config["output"]["format"]
     if fmt not in ("csv", "json"):
         raise ConfigError(f"output format must be 'csv' or 'json', got {fmt!r}")
     return fmt
-
-
-def _parse_thresholds(text: str) -> list[float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"--thresholds expects LO,HI, got {text!r}")
-    try:
-        return [float(parts[0]), float(parts[1])]
-    except ValueError as exc:
-        raise ConfigError(f"--thresholds expects numbers, got {text!r}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,17 +12,20 @@ slowly condenses all wealth into one agent); gamma = 1 recovers the rule
 where both sides stake their full surplus.
 
 Determinism: all randomness comes from ``numpy.random.Generator`` backed
-by PCG64, seeded with the run seed. Draws are consumed in fixed blocks
-(pair indices i, then offsets j, then epsilons) of ``_BLOCK`` steps, so a
-given (seed, t_max) always sees the same stream regardless of snapshot
-schedule. ``_BLOCK`` and that draw order are part of the reproducibility
-contract; ``_CHUNK``, the number of steps the loop takes from a block at a
-time, is not. Seed 0 is legal.
+by PCG64, seeded with the run seed. :func:`_draw_block` alone draws, in
+fixed blocks of ``_BLOCK`` steps (pair indices i, then offsets j, then
+epsilons), so a given (seed, t_max) always sees the same stream regardless
+of snapshot schedule. ``_BLOCK`` and that draw order are part of the
+reproducibility contract; ``_CHUNK``, the number of steps the loop takes
+from a block at a time, is not. :func:`_exchange` is the one definition of
+the rule and its float operations: the reference any faster kernel must
+match bit for bit. Seed 0 is legal.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,11 +61,12 @@ class SimulationParams:
     def __post_init__(self):
         if not _is_integer(self.n_agents) or self.n_agents < 2:
             raise ValueError(f"n_agents must be an integer >= 2, got {self.n_agents!r}")
-        if not 0.0 <= self.saving_rate <= 1.0:
-            raise ValueError(f"saving_rate must be in [0, 1], got {self.saving_rate!r}")
-        if not 0.0 <= self.surplus_rate <= 1.0:
-            raise ValueError(f"surplus_rate must be in [0, 1], got {self.surplus_rate!r}")
-        if not (math.isfinite(self.initial_asset) and self.initial_asset > 0):
+        for name in ("saving_rate", "surplus_rate"):
+            value = getattr(self, name)
+            if not (_is_real(value) and 0.0 <= value <= 1.0):
+                raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
+        if not (_is_real(self.initial_asset) and math.isfinite(self.initial_asset)
+                and self.initial_asset > 0):
             raise ValueError(f"initial_asset must be positive, got {self.initial_asset!r}")
         if not _is_integer(self.t_max) or self.t_max < 1:
             raise ValueError(f"t_max must be a positive integer, got {self.t_max!r}")
@@ -84,22 +88,9 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class StepOutcome:
-    """Result of one pairwise exchange.
-
-    ``pool`` is the total staked amount
-    ``(1 - lambda) * (2 * m_p + gamma * (m_r - m_p))``. ``i``/``j`` are
-    optional agent indices for callers that record them; :func:`exchange_step`
-    leaves them None, and :func:`run_simulation` builds no StepOutcome.
-    """
-
-    epsilon: float
-    pool: float
-    new_mi: float
-    new_mj: float
-    i: int | None = None
-    j: int | None = None
+def _is_real(value) -> bool:
+    # int, float and numpy numbers count; bool does not
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -120,56 +111,45 @@ class RunResult:
             raise ValueError("cumulative_pool must be non-negative")
 
 
-def exchange_step(m_i: float, m_j: float, saving_rate: float, surplus_rate: float,
-                  epsilon: float) -> StepOutcome:
-    """Apply one exchange between assets ``m_i`` and ``m_j``.
+def _draw_block(rng: np.random.Generator, n: int,
+                size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw ``size`` steps in contract order: all i, then all j, then all eps.
 
-    Which side is the poorer one is decided by comparing the entry values
-    (ties make both branches identical). The new values are computed as
-    retained share + received share, a sum of non-negative terms, so the
-    outputs can never go negative even at float precision.
+    j is drawn from the n - 1 agents other than i.
     """
-    for name, v in (("m_i", m_i), ("m_j", m_j)):
-        if not (math.isfinite(v) and v >= 0):
-            raise ValueError(f"{name} must be finite and non-negative, got {v!r}")
-    for name, v in (("saving_rate", saving_rate), ("surplus_rate", surplus_rate),
-                    ("epsilon", epsilon)):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"{name} must be in [0, 1], got {v!r}")
+    ii = rng.integers(0, n, size=size)
+    jj = rng.integers(0, n - 1, size=size)
+    ee = rng.random(size)
+    jj += jj >= ii
+    return ii, jj, ee
 
+
+def _exchange(assets: list, ii: np.ndarray, jj: np.ndarray, ee: np.ndarray,
+              saving_rate: float, surplus_rate: float, cumulative: float) -> float:
+    """Apply the exchanges (ii[k], jj[k], ee[k]) in order to ``assets``, in place.
+
+    Returns ``cumulative`` plus each step's pool, added left to right. New
+    values are sums of non-negative terms, so assets never go negative.
+    """
     lam = saving_rate
-    oml = 1.0 - lam
     gam = surplus_rate
-    if m_i <= m_j:
-        m_p, m_r = m_i, m_j
-    else:
-        m_p, m_r = m_j, m_i
-    gap = m_r - m_p
-    pool = oml * (2.0 * m_p + gam * gap)
-    new_poor = lam * m_p
-    new_rich = lam * m_r + oml * (1.0 - gam) * gap
-    if m_i <= m_j:
-        new_mi = new_poor + epsilon * pool
-        new_mj = new_rich + (1.0 - epsilon) * pool
-    else:
-        new_mi = new_rich + epsilon * pool
-        new_mj = new_poor + (1.0 - epsilon) * pool
-    return StepOutcome(epsilon=epsilon, pool=pool, new_mi=new_mi, new_mj=new_mj)
-
-
-def sample_pair(rng: np.random.Generator, n_agents: int) -> tuple[int, int]:
-    """Draw an ordered pair (i, j), i != j, uniform over all such pairs.
-
-    i is uniform over [0, n); j is uniform over the remaining n-1 agents
-    (drawn on [0, n-1) and shifted past i).
-    """
-    if n_agents < 2:
-        raise ValueError(f"need at least 2 agents to sample a pair, got {n_agents}")
-    i = int(rng.integers(0, n_agents))
-    j = int(rng.integers(0, n_agents - 1))
-    if j >= i:
-        j += 1
-    return i, j
+    oml = 1.0 - lam
+    keep = oml * (1.0 - gam)  # the richer side's withheld share of the gap
+    for i, j, eps, fps in zip(ii.tolist(), jj.tolist(), ee.tolist(), (1.0 - ee).tolist()):
+        mi = assets[i]
+        mj = assets[j]
+        if mi <= mj:
+            gap = mj - mi
+            pool = oml * (2.0 * mi + gam * gap)
+            assets[i] = lam * mi + eps * pool
+            assets[j] = lam * mj + keep * gap + fps * pool
+        else:
+            gap = mi - mj
+            pool = oml * (2.0 * mj + gam * gap)
+            assets[i] = lam * mi + keep * gap + eps * pool
+            assets[j] = lam * mj + fps * pool
+        cumulative += pool
+    return cumulative
 
 
 def run_simulation(params: SimulationParams) -> RunResult:
@@ -182,10 +162,6 @@ def run_simulation(params: SimulationParams) -> RunResult:
     """
     n = params.n_agents
     t_max = params.t_max
-    lam = params.saving_rate
-    gam = params.surplus_rate
-    oml = 1.0 - lam
-    keep = oml * (1.0 - gam)  # the richer side's withheld share of the gap
     rng = np.random.default_rng(params.seed)
 
     assets = [float(params.initial_asset)] * n
@@ -200,10 +176,7 @@ def run_simulation(params: SimulationParams) -> RunResult:
     t = 0
     while t < t_max:
         block = min(_BLOCK, t_max - t)
-        ii = rng.integers(0, n, size=block)
-        jj = rng.integers(0, n - 1, size=block)
-        ee = rng.random(block)
-        jj += jj >= ii  # j is drawn from the n - 1 agents other than i
+        ii, jj, ee = _draw_block(rng, n, block)
         start = t
         end = t + block
         while t < end:
@@ -211,22 +184,8 @@ def run_simulation(params: SimulationParams) -> RunResult:
             stop = min(t + _CHUNK, end, next_snap)
             lo = t - start
             hi = stop - start
-            eps_chunk = ee[lo:hi]
-            for i, j, eps, fps in zip(ii[lo:hi].tolist(), jj[lo:hi].tolist(),
-                                      eps_chunk.tolist(), (1.0 - eps_chunk).tolist()):
-                mi = assets[i]
-                mj = assets[j]
-                if mi <= mj:
-                    gap = mj - mi
-                    pool = oml * (2.0 * mi + gam * gap)
-                    assets[i] = lam * mi + eps * pool
-                    assets[j] = lam * mj + keep * gap + fps * pool
-                else:
-                    gap = mi - mj
-                    pool = oml * (2.0 * mj + gam * gap)
-                    assets[i] = lam * mi + keep * gap + eps * pool
-                    assets[j] = lam * mj + fps * pool
-                cumulative += pool
+            cumulative = _exchange(assets, ii[lo:hi], jj[lo:hi], ee[lo:hi],
+                                   params.saving_rate, params.surplus_rate, cumulative)
             t = stop
             if t == next_snap:
                 snapshots[t] = np.array(assets)

@@ -17,25 +17,47 @@ passes none; the count never exceeds ``os.cpu_count()``.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import json
 import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
-from .exchange import SimulationParams, run_simulation
+from .errors import ConfigError, ParseError
+from .exchange import SimulationParams, _is_integer, run_simulation
 from .metrics import gini, kendall_tau, total_exchange
+
+
+def resolve_times(t_max: int, t1: int | None, t2: int | None) -> tuple[int, int]:
+    """Return (t1, t2); t2 defaults to t_max, t1 to round(0.99 * t_max) below t2.
+
+    Raises ValueError unless all three are integers with 0 <= t1 < t2 <= t_max.
+    """
+    if t2 is None:
+        t2 = t_max
+    if t1 is None and _is_integer(t_max) and _is_integer(t2):
+        t1 = min(round(0.99 * t_max), t2 - 1)
+    if not all(_is_integer(t) for t in (t_max, t1, t2)) or not 0 <= t1 < t2 <= t_max:
+        raise ValueError(f"need integers 0 <= t1 < t2 <= t_max, got t1={t1!r}, "
+                         f"t2={t2!r}, t_max={t_max!r}")
+    return int(t1), int(t2)
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid definition. t1/t2 default to 0.99 * t_max and t_max."""
+    """Grid definition; the defaults are those of ``kinex sweep``.
 
-    lambda_values: tuple[float, ...]
-    gamma_values: tuple[float, ...]
+    t1/t2 default as in :func:`resolve_times`. Each (lambda, gamma) must
+    make a valid :class:`SimulationParams` with the shared fields.
+    """
+
+    lambda_values: tuple[float, ...] = tuple(round(0.05 * k, 2) for k in range(1, 20))
+    gamma_values: tuple[float, ...] = (0.0, 0.1, 0.5, 1.0)
     n_agents: int = 1000
     t_max: int = 100_000
     t1: int | None = None
@@ -48,21 +70,17 @@ class SweepSpec:
         object.__setattr__(self, "gamma_values", tuple(self.gamma_values))
         if not self.lambda_values or not self.gamma_values:
             raise ValueError("lambda_values and gamma_values must be non-empty")
-        for name, values in (("lambda_values", self.lambda_values),
-                             ("gamma_values", self.gamma_values)):
-            if any(not 0.0 <= v <= 1.0 for v in values):
-                raise ValueError(f"{name} must lie in [0, 1], got {values}")
-        if self.t2 is None:
-            object.__setattr__(self, "t2", self.t_max)
-        if self.t1 is None:
-            object.__setattr__(self, "t1", min(round(0.99 * self.t_max), self.t2 - 1))
-        if not 0 <= self.t1 < self.t2 <= self.t_max:
-            raise ValueError(f"need 0 <= t1 < t2 <= t_max, got t1={self.t1}, "
-                             f"t2={self.t2}, t_max={self.t_max}")
-        if self.replicates < 1:
-            raise ValueError(f"replicates must be >= 1, got {self.replicates}")
-        if not 0 <= self.base_seed < 2**64:
+        t1, t2 = resolve_times(self.t_max, self.t1, self.t2)
+        object.__setattr__(self, "t1", t1)
+        object.__setattr__(self, "t2", t2)
+        if not _is_integer(self.replicates) or self.replicates < 1:
+            raise ValueError(f"replicates must be an integer >= 1, got {self.replicates!r}")
+        if not _is_integer(self.base_seed) or not 0 <= self.base_seed < 2**64:
             raise ValueError(f"base_seed must be a 64-bit unsigned integer, got {self.base_seed!r}")
+        for lam in self.lambda_values:
+            for gam in self.gamma_values:
+                SimulationParams(n_agents=self.n_agents, saving_rate=lam, surplus_rate=gam,
+                                 t_max=self.t_max, snapshot_times=(t1, t2))
 
 
 @dataclass(frozen=True)
@@ -82,6 +100,39 @@ class SweepCell:
     std_f: float
     std_tau: float
     replicates: int
+
+
+# sweep table columns in file order -> the SweepCell field each one holds
+SWEEP_COLUMNS = {"lambda": "saving_rate", "gamma": "surplus_rate",
+                 "mean_g": "mean_g", "std_g": "std_g", "mean_f": "mean_f",
+                 "std_f": "std_f", "mean_tau": "mean_tau", "std_tau": "std_tau",
+                 "replicates": "replicates"}
+# columns a table may leave out or empty, with the value they then read as
+_OPTIONAL_COLUMNS = {"std_g": 0.0, "std_f": 0.0, "std_tau": 0.0, "replicates": 1}
+
+
+def read_sweep_table(path: str | Path) -> list[SweepCell]:
+    """Read a sweep table previously written by ``kinex sweep``."""
+    path = Path(path)
+    if path.suffix == ".json":
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        rows = [dict(zip(doc["columns"], row)) for row in doc["rows"]]
+    else:
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = [line for line in fh if not line.startswith("#")]
+        rows = list(csv.DictReader(lines))
+    cells = []
+    for line_number, row in enumerate(rows, start=1):
+        try:
+            values = {}
+            for column, field in SWEEP_COLUMNS.items():
+                value = (row.get(column) or _OPTIONAL_COLUMNS[column]
+                         if column in _OPTIONAL_COLUMNS else row[column])
+                values[field] = int(value) if field == "replicates" else float(value)
+            cells.append(SweepCell(**values))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"bad sweep table row: {exc}", line_number) from exc
+    return cells
 
 
 @dataclass(frozen=True)
@@ -188,12 +239,7 @@ def gini_time_series(params: SimulationParams, sample_times) -> GiniSeries:
     Time 0 is allowed and evaluates the all-equal initial state (Gini 0).
     """
     times = tuple(int(t) for t in sample_times)
-    run_params = SimulationParams(
-        n_agents=params.n_agents, saving_rate=params.saving_rate,
-        surplus_rate=params.surplus_rate, initial_asset=params.initial_asset,
-        t_max=params.t_max, seed=params.seed, snapshot_times=times,
-    )
-    result = run_simulation(run_params)
+    result = run_simulation(replace(params, snapshot_times=times))
     g_values = tuple(gini(result.snapshots[t]) for t in times)
     return GiniSeries(saving_rate=params.saving_rate, surplus_rate=params.surplus_rate,
                       times=times, g_values=g_values)

@@ -5,7 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from kinex.cli import main, read_sweep_table
+from kinex import SweepCell
+from kinex.cli import load_config, main, read_sweep_table
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 SMALL_SIM = {
     "simulate": {"n_agents": 120, "t_max": 3000, "seed": 11},
@@ -145,6 +148,20 @@ class TestSweepAndFit:
         assert len(cells) == 4
         assert cells[0].saving_rate == 0.2
 
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    def test_reader_fills_left_out_and_empty_columns(self, tmp_path, suffix):
+        # std_g empty, std_f/std_tau/replicates left out; a numeric zero is a value
+        columns = ["lambda", "gamma", "mean_g", "mean_f", "mean_tau", "std_g"]
+        table = tmp_path / f"t{suffix}"
+        if suffix == ".json":
+            table.write_text(json.dumps({"columns": columns,
+                                         "rows": [[0.2, 0.0, 0.5, 0.4, 0.0, None]]}))
+        else:
+            table.write_text(",".join(columns) + "\n0.2,0.0,0.5,0.4,0.0,\n")
+        assert read_sweep_table(table) == [SweepCell(
+            saving_rate=0.2, surplus_rate=0.0, mean_g=0.5, mean_f=0.4, mean_tau=0.0,
+            std_g=0.0, std_f=0.0, std_tau=0.0, replicates=1)]
+
     def test_fit_on_exact_law_table(self, tmp_path):
         # cells placed exactly on f/g = 0.5*ln((1-lam)*gamma) + 2 and tau = -f
         rows = ["# kinex-schema v1",
@@ -221,6 +238,12 @@ class TestEmpirical:
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert resolved["empirical"]["thresholds"] == [450.0, 650.0]
 
+    @pytest.mark.parametrize("text", ["a,b", "1", "1,2,3"])
+    def test_bad_threshold_flag_exits_two(self, tmp_path, table1_path, text):
+        assert run_cli(["empirical", "--data", str(table1_path), "--thresholds", text,
+                        "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
     def test_only_incomplete_rows_is_a_runtime_failure(self, tmp_path):
         data = tmp_path / "d.csv"
         data.write_text("country,f,g,lambda,gamma\nJapan,393,,0.280,\n")
@@ -262,6 +285,41 @@ class TestConfigHandling:
     def test_usage_error_exits_two(self):
         assert run_cli(["fit"]) == 2  # --table is required
         assert run_cli(["no-such-command"]) == 2
+
+    BAD_VALUES = [
+        ("simulate", "simulate", "saving_rate", True),
+        ("simulate", "simulate", "saving_rate", "a"),
+        ("simulate", "simulate", "t1", 50.5),
+        ("simulate", "simulate", "bins", 2.5),
+        ("simulate", "output", "dir", 5),
+        ("sweep", "sweep", "n_agents", 1),
+        ("sweep", "sweep", "t1", 50.5),
+        ("sweep", "sweep", "replicates", 1.5),
+        ("sweep", "sweep", "t_max", "100"),
+        ("sweep", "sweep", "lambda_values", ["a"]),
+        ("sweep", "sweep", "lambda_values", 0.5),
+        ("empirical", "empirical", "thresholds", ["a", "b"]),
+    ]
+
+    @pytest.mark.parametrize("command, section, key, value", BAD_VALUES,
+                             ids=[f"{c}-{s}.{k}={v!r}" for c, s, k, v in BAD_VALUES])
+    def test_bad_config_value_exits_two_cleanly(self, tmp_path, monkeypatch, capsys,
+                                                 table1_path, command, section, key, value):
+        small = {"simulate": SMALL_SIM["simulate"], "sweep": SMALL_SWEEP["sweep"]}
+        config = {command: dict(small.get(command, {}))}
+        config.setdefault(section, {})[key] = value
+        argv = [command, "--config", write_config(tmp_path, config)]
+        if command == "empirical":
+            argv += ["--data", str(table1_path)]
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(argv) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]  # nothing written
+
+    def test_readme_lists_the_defaults(self):
+        section = README.read_text(encoding="utf-8").split("### Configuration file", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        assert json.loads(block) == load_config(None)
 
     @pytest.mark.parametrize("threads", ["abc", "2.5"])
     def test_non_integer_threads_rejected(self, tmp_path, monkeypatch, threads):

@@ -5,121 +5,103 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kinex import SimulationParams, exchange_step, run_simulation, sample_pair
-from kinex.exchange import _BLOCK, _CHUNK
+from kinex import SimulationParams, run_simulation
+from kinex.exchange import _BLOCK, _CHUNK, _draw_block, _exchange
 
 assets_st = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 unit_st = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
+def exchange_once(mi, mj, lam, gam, eps):
+    """One exchange of agent 0 (i) with agent 1 (j); returns (new_mi, new_mj, pool)."""
+    assets = [mi, mj]
+    pool = _exchange(assets, np.array([0]), np.array([1]), np.array([eps]), lam, gam, 0.0)
+    return assets[0], assets[1], pool
+
+
 class TestExchangeStep:
     def test_equal_assets_no_saving_splits_evenly(self):
-        out = exchange_step(1.0, 1.0, 0.0, 0.0, 0.5)
-        assert out.pool == 2.0
-        assert out.new_mi == 1.0
-        assert out.new_mj == 1.0
+        assert exchange_once(1.0, 1.0, 0.0, 0.0, 0.5) == (1.0, 1.0, 2.0)
 
     def test_poorer_loses_whole_stake_when_epsilon_zero(self):
         # lam=0.25, gamma=0: each side stakes 0.75, all of it goes to j
-        out = exchange_step(1.0, 3.0, 0.25, 0.0, 0.0)
-        assert out.pool == pytest.approx(1.5, rel=1e-15)
-        assert out.new_mi == pytest.approx(0.25, rel=1e-15)
-        assert out.new_mj == pytest.approx(3.75, rel=1e-15)
+        new_mi, new_mj, pool = exchange_once(1.0, 3.0, 0.25, 0.0, 0.0)
+        assert pool == pytest.approx(1.5, rel=1e-15)
+        assert new_mi == pytest.approx(0.25, rel=1e-15)
+        assert new_mj == pytest.approx(3.75, rel=1e-15)
 
     def test_richer_stakes_full_surplus_at_gamma_one(self):
         # richer stakes 0.5*6=3, poorer 1; i takes the whole pool
-        out = exchange_step(2.0, 6.0, 0.5, 1.0, 1.0)
-        assert out.pool == pytest.approx(4.0, rel=1e-15)
-        assert out.new_mi == pytest.approx(5.0, rel=1e-15)
-        assert out.new_mj == pytest.approx(3.0, rel=1e-15)
+        new_mi, new_mj, pool = exchange_once(2.0, 6.0, 0.5, 1.0, 1.0)
+        assert pool == pytest.approx(4.0, rel=1e-15)
+        assert new_mi == pytest.approx(5.0, rel=1e-15)
+        assert new_mj == pytest.approx(3.0, rel=1e-15)
 
     @given(mi=assets_st, mj=assets_st, lam=unit_st, gam=unit_st, eps=unit_st)
     def test_conserves_and_stays_non_negative(self, mi, mj, lam, gam, eps):
-        out = exchange_step(mi, mj, lam, gam, eps)
-        assert out.new_mi >= 0.0
-        assert out.new_mj >= 0.0
-        assert out.pool >= 0.0
+        new_mi, new_mj, pool = exchange_once(mi, mj, lam, gam, eps)
+        assert new_mi >= 0.0
+        assert new_mj >= 0.0
+        assert pool >= 0.0
         total = mi + mj
-        assert out.new_mi + out.new_mj == pytest.approx(total, rel=1e-12, abs=1e-12)
+        assert new_mi + new_mj == pytest.approx(total, rel=1e-12, abs=1e-12)
 
     @given(mi=assets_st, mj=assets_st, lam=unit_st, gam=unit_st, eps=unit_st)
     def test_swapping_positions_swaps_shares(self, mi, mj, lam, gam, eps):
         # rounding error scales with the pair total, not the (possibly
         # near-zero) individual shares, so tolerate relative to mi + mj
         tol = 1e-12 * (mi + mj + 1.0)
-        fwd = exchange_step(mi, mj, lam, gam, eps)
-        rev = exchange_step(mj, mi, lam, gam, 1.0 - eps)
-        assert rev.new_mi == pytest.approx(fwd.new_mj, abs=tol)
-        assert rev.new_mj == pytest.approx(fwd.new_mi, abs=tol)
+        fwd_i, fwd_j, _ = exchange_once(mi, mj, lam, gam, eps)
+        rev_i, rev_j, _ = exchange_once(mj, mi, lam, gam, 1.0 - eps)
+        assert rev_i == pytest.approx(fwd_j, abs=tol)
+        assert rev_j == pytest.approx(fwd_i, abs=tol)
 
     @given(mi=assets_st, mj=assets_st, lam=unit_st, eps=unit_st)
     def test_gamma_zero_matches_poorer_surplus_rule(self, mi, mj, lam, eps):
         tol = 1e-12 * (mi + mj + 1.0)
-        out = exchange_step(mi, mj, lam, 0.0, eps)
+        new_mi, _, out_pool = exchange_once(mi, mj, lam, 0.0, eps)
         m_p = min(mi, mj)
         pool = 2.0 * (1.0 - lam) * m_p
-        assert out.pool == pytest.approx(pool, abs=tol)
+        assert out_pool == pytest.approx(pool, abs=tol)
         expect_i = mi - (1.0 - lam) * m_p + eps * pool
-        assert out.new_mi == pytest.approx(expect_i, abs=tol)
+        assert new_mi == pytest.approx(expect_i, abs=tol)
 
     @given(mi=assets_st, mj=assets_st, lam=unit_st, eps=unit_st)
     def test_gamma_one_matches_full_surplus_rule(self, mi, mj, lam, eps):
         tol = 1e-12 * (mi + mj + 1.0)
-        out = exchange_step(mi, mj, lam, 1.0, eps)
+        new_mi, _, out_pool = exchange_once(mi, mj, lam, 1.0, eps)
         pool = (1.0 - lam) * (mi + mj)
-        assert out.pool == pytest.approx(pool, abs=tol)
+        assert out_pool == pytest.approx(pool, abs=tol)
         expect_i = lam * mi + eps * pool
-        assert out.new_mi == pytest.approx(expect_i, abs=tol)
-
-    @pytest.mark.parametrize("args", [
-        (-1.0, 1.0, 0.5, 0.5, 0.5),
-        (1.0, float("nan"), 0.5, 0.5, 0.5),
-        (1.0, float("inf"), 0.5, 0.5, 0.5),
-        (1.0, 1.0, -0.1, 0.5, 0.5),
-        (1.0, 1.0, 0.5, 1.1, 0.5),
-        (1.0, 1.0, 0.5, 0.5, 2.0),
-    ])
-    def test_rejects_bad_arguments(self, args):
-        with pytest.raises(ValueError):
-            exchange_step(*args)
+        assert new_mi == pytest.approx(expect_i, abs=tol)
 
 
 class TestSamplePair:
+    """The pair draws of ``_draw_block``, the stream every run consumes."""
+
     def test_two_agents_always_yield_both(self):
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            i, j = sample_pair(rng, 2)
-            assert {i, j} == {0, 1}
+        ii, jj, _ = _draw_block(np.random.default_rng(1), 2, 50)
+        assert all({i, j} == {0, 1} for i, j in zip(ii.tolist(), jj.tolist()))
 
     def test_indices_distinct_and_in_range(self):
-        rng = np.random.default_rng(2)
-        for _ in range(2000):
-            i, j = sample_pair(rng, 10)
-            assert i != j
-            assert 0 <= i < 10 and 0 <= j < 10
+        ii, jj, ee = _draw_block(np.random.default_rng(2), 10, 2000)
+        assert (ii != jj).all()
+        assert ((0 <= ii) & (ii < 10) & (0 <= jj) & (jj < 10)).all()
+        assert ((0.0 <= ee) & (ee < 1.0)).all()
 
     def test_fixed_seed_reproduces_sequence(self):
-        rng_a = np.random.default_rng(99)
-        rng_b = np.random.default_rng(99)
-        assert [sample_pair(rng_a, 10) for _ in range(200)] == \
-               [sample_pair(rng_b, 10) for _ in range(200)]
-
-    def test_rejects_fewer_than_two_agents(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            sample_pair(rng, 1)
+        a = _draw_block(np.random.default_rng(99), 10, 200)
+        b = _draw_block(np.random.default_rng(99), 10, 200)
+        for x, y in zip(a, b):
+            assert x.tobytes() == y.tobytes()
 
     def test_index_frequencies_uniform(self):
         # chi-square oracle over both pair positions; fixed seed keeps it
         # deterministic. df = 999, mean 999, std ~44.7; bound is mean + 6 std.
-        rng = np.random.default_rng(2024)
         n = 1000
         draws = 1_000_000
-        counts = np.zeros(n, dtype=np.int64)
-        for _ in range(draws):
-            i, j = sample_pair(rng, n)
-            counts[i] += 1
-            counts[j] += 1
+        ii, jj, _ = _draw_block(np.random.default_rng(2024), n, draws)
+        counts = np.bincount(ii, minlength=n) + np.bincount(jj, minlength=n)
         expected = 2 * draws / n
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 < 999 + 6 * math.sqrt(2 * 999)
@@ -150,6 +132,13 @@ class TestSimulationParams:
         dict(seed=np.True_),
         dict(snapshot_times=(True, 50)),
         dict(snapshot_times=(50.0,)),
+        dict(saving_rate=True),
+        dict(surplus_rate=False),
+        dict(initial_asset=True),
+        dict(saving_rate="a"),
+        dict(surplus_rate=None),
+        dict(initial_asset="1.0"),
+        dict(saving_rate=np.True_),
     ])
     def test_rejects_invalid_parameters(self, kwargs):
         base = dict(n_agents=10, saving_rate=0.5, surplus_rate=0.5, t_max=100)
@@ -166,26 +155,24 @@ class TestSimulationParams:
         assert all(type(v) is int for v in (p.n_agents, p.t_max, p.seed, *p.snapshot_times))
 
 
-def replay_through_exchange_step(params: SimulationParams) -> tuple[dict, float]:
-    """Reference run: the same block draws, one exchange_step per tick."""
-    n, lam, gam = params.n_agents, params.saving_rate, params.surplus_rate
+def replay_one_step_at_a_time(params: SimulationParams) -> tuple[dict, float]:
+    """Reference run: the same draw blocks, one ``_exchange`` call per tick.
+
+    It checks every step against the snapshot times itself, so it shares
+    none of run_simulation's chunk and snapshot segmentation.
+    """
+    lam, gam = params.saving_rate, params.surplus_rate
     rng = np.random.default_rng(params.seed)
-    assets = [params.initial_asset] * n
+    assets = [params.initial_asset] * params.n_agents
     snapshots = {0: np.array(assets)} if 0 in params.snapshot_times else {}
     cumulative = 0.0
     t = 0
     while t < params.t_max:
         block = min(_BLOCK, params.t_max - t)
-        ii = rng.integers(0, n, size=block).tolist()
-        jj = rng.integers(0, n - 1, size=block).tolist()
-        ee = rng.random(block).tolist()
+        ii, jj, ee = _draw_block(rng, params.n_agents, block)
         for k in range(block):
-            i, j = ii[k], jj[k]
-            if j >= i:
-                j += 1
-            out = exchange_step(assets[i], assets[j], lam, gam, ee[k])
-            assets[i], assets[j] = out.new_mi, out.new_mj
-            cumulative += out.pool
+            cumulative = _exchange(assets, ii[k:k + 1], jj[k:k + 1], ee[k:k + 1],
+                                   lam, gam, cumulative)
             t += 1
             if t in params.snapshot_times:
                 snapshots[t] = np.array(assets)
@@ -239,11 +226,11 @@ class TestRunSimulation:
     @pytest.mark.parametrize("n, lam, gam, t_max, snaps", REPLAY_CASES,
                              ids=[f"n{c[0]}-lam{c[1]}-gam{c[2]}-T{c[3]}" for c in REPLAY_CASES])
     def test_run_loop_replays_through_exchange_step(self, n, lam, gam, t_max, snaps):
-        # the inlined loop must implement exchange_step bit for bit
+        # chunking the blocks and cutting chunks at snapshots must not change a bit
         p = SimulationParams(n_agents=n, saving_rate=lam, surplus_rate=gam,
                              t_max=t_max, seed=11, snapshot_times=snaps)
         result = run_simulation(p)
-        snapshots, cumulative = replay_through_exchange_step(p)
+        snapshots, cumulative = replay_one_step_at_a_time(p)
         assert set(result.snapshots) == set(snaps) == set(snapshots)
         for t in snaps:
             assert result.snapshots[t].tobytes() == snapshots[t].tobytes(), t

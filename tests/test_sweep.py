@@ -3,6 +3,7 @@ import warnings
 
 import pytest
 
+import kinex.sweep
 from kinex import (ConfigError, SimulationParams, SweepSpec, gini_time_series,
                    replicate_seed, run_sweep)
 from kinex.sweep import _resolve_workers
@@ -34,6 +35,13 @@ class TestSweepSpec:
         dict(t1=1000, t2=5000),
         dict(replicates=0),
         dict(base_seed=-5),
+        dict(n_agents=1),
+        dict(replicates=1.5),
+        dict(base_seed=1.5),
+        dict(t1=1500.5),
+        dict(t_max="2000"),
+        dict(lambda_values=("a",)),
+        dict(gamma_values=(True,)),
     ])
     def test_rejects_invalid_specs(self, kwargs):
         with pytest.raises(ValueError):
@@ -114,10 +122,13 @@ class TestRunSweep:
     def test_worker_count_does_not_change_results(self):
         assert run_sweep(small_spec(), workers=1) == run_sweep(small_spec(), workers=2)
 
-    def test_failures_carry_cell_coordinates(self):
-        # n_agents=1 only fails once the per-replicate run is constructed
-        with pytest.raises(RuntimeError, match="lambda=0.2 gamma=0.5 replicate=0"):
-            run_sweep(small_spec(n_agents=1), workers=1)
+    def test_failures_carry_cell_coordinates(self, monkeypatch):
+        def fail(params):
+            raise FloatingPointError("boom")
+
+        monkeypatch.setattr(kinex.sweep, "run_simulation", fail)
+        with pytest.raises(RuntimeError, match="lambda=0.2 gamma=0.5 replicate=0 failed: boom"):
+            run_sweep(small_spec(), workers=1)
 
 
 class TestGiniTimeSeries:
