@@ -15,18 +15,17 @@ from .fitting import (FitResult, XYPoint, fit_linear, flow_gini_ratio_points,
                       tau_vs_flow_points)
 from .metrics import (GammaFit, Histogram, gamma_fit, gini, histogram,
                       kendall_tau, total_exchange)
-from .sweep import (GiniSeries, SweepCell, SweepSpec, gini_time_series,
-                    replicate_seed, run_sweep)
+from .sweep import SweepCell, SweepSpec, replicate_seed, run_sweep
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError", "CountryRecord", "DegenerateDataError", "DerivedRecord",
-    "FitResult", "GammaFit", "GiniSeries", "GroupFit", "Histogram",
+    "FitResult", "GammaFit", "GroupFit", "Histogram",
     "KinexError", "ParseError", "RunResult", "SimulationParams",
     "SweepCell", "SweepSpec", "XYPoint", "classify_groups", "derive",
     "fit_groups", "fit_linear", "flow_gini_ratio_points",
-    "gamma_fit", "gini", "gini_time_series", "histogram", "kendall_tau",
+    "gamma_fit", "gini", "histogram", "kendall_tau",
     "load_countries", "percentile_thresholds", "replicate_seed",
     "run_simulation", "run_sweep", "tau_vs_flow_points",
     "total_exchange",

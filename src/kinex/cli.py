@@ -2,8 +2,11 @@
 
 Configuration lives in one JSON document with ``simulate``, ``sweep``,
 ``empirical``, and ``output`` sections; unknown keys are rejected and
-command-line flags win over file values. Every subcommand writes the
-fully-resolved configuration into its output directory. All emitted
+command-line flags win over file values. ``main`` loads the config,
+applies the flags and checks the ``output`` section for every
+subcommand. Each subcommand then checks its own section and reads its
+inputs, and only then writes the fully-resolved configuration into its
+output directory, so a usage or config failure writes no file. All emitted
 tables are plot-ready data (CSV by default, JSON via the output format
 selector); no images are rendered.
 
@@ -27,7 +30,8 @@ from .errors import ConfigError, DegenerateDataError, KinexError, ParseError
 from .exchange import SimulationParams, _is_integer, run_simulation
 from .fitting import fit_linear, flow_gini_ratio_points, tau_vs_flow_points
 from .metrics import gamma_fit, gini, histogram, kendall_tau, total_exchange
-from .sweep import SWEEP_COLUMNS, SweepSpec, read_sweep_table, resolve_times, run_sweep
+from .sweep import (SWEEP_COLUMNS, SweepSpec, _resolve_workers, read_sweep_table,
+                    resolve_times, run_sweep)
 
 SCHEMA_COMMENT = "# kinex-schema v1"
 
@@ -122,23 +126,12 @@ def _write_json(out_dir: Path, name: str, payload: dict) -> Path:
     return path
 
 
-def _fit_payload(fit) -> dict:
-    return {"slope": fit.slope, "intercept": fit.intercept,
-            "r_squared": fit.r_squared, "n_points": fit.n_points}
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_simulate(args) -> int:
-    config = load_config(args.config)
+def cmd_simulate(args, config: dict, out_dir: Path, fmt: str) -> int:
     sim_cfg = config["simulate"]
-    if args.seed is not None:
-        sim_cfg["seed"] = args.seed
-    out_dir = _output_dir(config, args.out)
-    fmt = _output_format(config)
-
     t_max = sim_cfg["t_max"]
     try:
         t1, t2 = resolve_times(t_max, sim_cfg["t1"], sim_cfg["t2"])
@@ -204,37 +197,30 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    config = load_config(args.config)
+def cmd_sweep(args, config: dict, out_dir: Path, fmt: str) -> int:
     sweep_cfg = config["sweep"]
-    if args.replicates is not None:
-        sweep_cfg["replicates"] = args.replicates
-    out_dir = _output_dir(config, args.out)
-    fmt = _output_format(config)
-
     try:
         spec = SweepSpec(**sweep_cfg)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    workers = _resolve_workers(None)
     sweep_cfg["t1"], sweep_cfg["t2"] = spec.t1, spec.t2
     _write_json(out_dir, "resolved_config.json", config)
 
-    cells = run_sweep(spec)
+    cells = run_sweep(spec, workers)
     rows = [[getattr(c, field) for field in SWEEP_COLUMNS.values()] for c in cells]
     path = _write_table(out_dir, "sweep", list(SWEEP_COLUMNS), rows, fmt)
     print(f"sweep: wrote {len(cells)} cells to {path}")
     return 0
 
 
-def cmd_fit(args) -> int:
-    config = load_config(args.config)
-    out_dir = _output_dir(config, args.out)
-    _write_json(out_dir, "resolved_config.json", config)
-
+def cmd_fit(args, config: dict, out_dir: Path, fmt: str) -> int:
     try:
         cells = read_sweep_table(args.table)
     except OSError as exc:
         raise ConfigError(f"cannot read sweep table {args.table}: {exc}") from exc
+    _write_json(out_dir, "resolved_config.json", config)
+
     ratio_points, excluded = flow_gini_ratio_points(cells)
     if len(ratio_points) < 2:
         print(f"fit: only {len(ratio_points)} usable point(s) for the flow/gini "
@@ -246,14 +232,14 @@ def cmd_fit(args) -> int:
 
     report = {
         "flow_gini_ratio": {
-            **_fit_payload(ratio_fit),
+            **dataclasses.asdict(ratio_fit),
             "x_axis": "ln((1 - lambda) * gamma)",
             "y_axis": "mean_f / mean_g",
             "excluded": [{"lambda": c.saving_rate, "gamma": c.surplus_rate}
                          for c in excluded],
         },
         "tau_vs_flow": {
-            **_fit_payload(tau_fit),
+            **dataclasses.asdict(tau_fit),
             "x_axis": "mean_f",
             "y_axis": "mean_tau",
             "excluded": [],
@@ -270,13 +256,7 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def cmd_empirical(args) -> int:
-    config = load_config(args.config)
-    if args.thresholds is not None:
-        config["empirical"]["thresholds"] = args.thresholds.split(",")
-    out_dir = _output_dir(config, args.out)
-    fmt = _output_format(config)
-
+def cmd_empirical(args, config: dict, out_dir: Path, fmt: str) -> int:
     try:
         records = load_countries(args.data)
     except OSError as exc:
@@ -295,13 +275,13 @@ def cmd_empirical(args) -> int:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"thresholds must be numbers, got {thresholds!r}") from exc
         thresholds_source = "explicit"
-    config["empirical"]["thresholds"] = list(thresholds)
-    _write_json(out_dir, "resolved_config.json", config)
-
     try:
         classified = classify_groups(derived, thresholds)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    config["empirical"]["thresholds"] = list(thresholds)
+    _write_json(out_dir, "resolved_config.json", config)
+
     fits = fit_groups(classified)
 
     rows = [[r.name, r.f, r.g, r.lam, r.gamma, r.x, r.f_norm, r.y, r.group]
@@ -318,7 +298,7 @@ def cmd_empirical(args) -> int:
                 "group": gf.group,
                 "members": list(gf.members),
                 "excluded_members": list(gf.excluded),
-                "fit": _fit_payload(gf.fit) if gf.fit is not None else None,
+                "fit": dataclasses.asdict(gf.fit) if gf.fit is not None else None,
                 "reason": gf.reason,
             }
             for gf in fits
@@ -339,57 +319,51 @@ def cmd_empirical(args) -> int:
 # argument parsing
 
 
-def _output_dir(config: dict, override: str | None) -> Path:
-    if override is not None:
-        config["output"]["dir"] = override
-    out = config["output"]["dir"]
-    if not isinstance(out, str):
-        raise ConfigError(f"output dir must be a string, got {out!r}")
-    return Path(out)
-
-
-def _output_format(config: dict) -> str:
-    fmt = config["output"]["format"]
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"output format must be 'csv' or 'json', got {fmt!r}")
-    return fmt
+def _check_output(output: dict) -> tuple[Path, str]:
+    if not isinstance(output["dir"], str):
+        raise ConfigError(f"output dir must be a string, got {output['dir']!r}")
+    if output["format"] not in ("csv", "json"):
+        raise ConfigError(f"output format must be 'csv' or 'json', got {output['format']!r}")
+    return Path(output["dir"]), output["format"]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # a flag whose dest is "section.key" overrides that config value
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON config file")
+    common.add_argument("--out", dest="output.dir", metavar="OUT",
+                        help="output directory (default from config)")
     parser = argparse.ArgumentParser(
         prog="kinex",
         description="Kinetic wealth-exchange simulator and analysis toolkit.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", help="run one simulation and dump "
-                           "snapshots, histograms, moment fits, and the Gini series")
-    p_sim.add_argument("--config", help="JSON config file")
-    p_sim.add_argument("--seed", type=int, help="override simulate.seed")
-    p_sim.add_argument("--out", help="output directory (default from config)")
+    p_sim = sub.add_parser("simulate", parents=[common], help="run one simulation and "
+                           "dump snapshots, histograms, moment fits, and the Gini series")
+    p_sim.add_argument("--seed", type=int, dest="simulate.seed", metavar="SEED",
+                       help="override simulate.seed")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_sweep = sub.add_parser("sweep", help="run a (lambda, gamma) grid and write "
-                             "the aggregated cell table")
-    p_sweep.add_argument("--config", help="JSON config file")
-    p_sweep.add_argument("--replicates", type=int, help="override sweep.replicates")
-    p_sweep.add_argument("--out", help="output directory")
+    p_sweep = sub.add_parser("sweep", parents=[common], help="run a (lambda, gamma) "
+                             "grid and write the aggregated cell table")
+    p_sweep.add_argument("--replicates", type=int, dest="sweep.replicates",
+                         metavar="REPLICATES", help="override sweep.replicates")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_fit = sub.add_parser("fit", help="fit the emergent relations from a sweep table")
+    p_fit = sub.add_parser("fit", parents=[common],
+                           help="fit the emergent relations from a sweep table")
     p_fit.add_argument("--table", required=True, help="sweep table (csv or json)")
-    p_fit.add_argument("--config", help="JSON config file")
-    p_fit.add_argument("--out", help="output directory")
     p_fit.set_defaults(func=cmd_fit)
 
-    p_emp = sub.add_parser("empirical", help="derive country columns and fit "
-                           "per-GDP-group regressions")
+    p_emp = sub.add_parser("empirical", parents=[common], help="derive country "
+                           "columns and fit per-GDP-group regressions")
     p_emp.add_argument("--data", required=True, help="country CSV "
                        "(header: country,f,g,lambda,gamma)")
-    p_emp.add_argument("--thresholds", help="group thresholds LO,HI in f units "
+    p_emp.add_argument("--thresholds", type=lambda text: text.split(","),
+                       dest="empirical.thresholds", metavar="THRESHOLDS",
+                       help="group thresholds LO,HI in f units "
                        "(default: 33rd/67th percentiles)")
-    p_emp.add_argument("--config", help="JSON config file")
-    p_emp.add_argument("--out", help="output directory")
     p_emp.set_defaults(func=cmd_empirical)
 
     return parser
@@ -402,7 +376,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        config = load_config(args.config)
+        for dest, value in vars(args).items():
+            if "." in dest and value is not None:
+                section, key = dest.split(".")
+                config[section][key] = value
+        out_dir, fmt = _check_output(config["output"])
+        return args.func(args, config, out_dir, fmt)
     except (ConfigError, ParseError) as exc:
         print(f"kinex: {exc}", file=sys.stderr)
         return 2

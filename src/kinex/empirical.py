@@ -68,8 +68,8 @@ class GroupFit:
     reason: str | None = None      # set when the group could not be fitted
 
 
-def _parse_cell(raw: str, column: str, lo: float, hi: float, line_number: int,
-                closed_low: bool = True) -> float | None:
+def _parse_cell(raw: str, column: str, lo: float, hi: float,
+                line_number: int) -> float | None:
     cell = raw.strip()
     if cell in _MISSING:
         return None
@@ -79,7 +79,7 @@ def _parse_cell(raw: str, column: str, lo: float, hi: float, line_number: int,
         raise ParseError(f"column {column!r}: {cell!r} is not a number", line_number) from None
     if not math.isfinite(value):
         raise ParseError(f"column {column!r}: {cell!r} is not finite", line_number)
-    if value > hi or value < lo or (value == lo and not closed_low):
+    if not lo <= value <= hi:
         raise ParseError(f"column {column!r}: {value} outside valid range", line_number)
     return value
 
@@ -168,11 +168,10 @@ def derive(records: list[CountryRecord]) -> tuple[list[DerivedRecord], list[Coun
     return derived, incomplete
 
 
-def percentile_thresholds(records: list[DerivedRecord],
-                          percentiles: tuple[float, float] = (33.0, 67.0)) -> tuple[float, float]:
-    """Default group thresholds: percentiles of f over the derived records."""
+def percentile_thresholds(records: list[DerivedRecord]) -> tuple[float, float]:
+    """Default group thresholds: the 33rd and 67th percentiles of f over the records."""
     fs = np.array([r.f for r in records])
-    lo, hi = np.percentile(fs, percentiles)
+    lo, hi = np.percentile(fs, (33.0, 67.0))
     return float(lo), float(hi)
 
 

@@ -145,24 +145,19 @@ def kendall_tau(assets_t1, assets_t2) -> float:
     return (concordant - discordant) / n_pairs
 
 
-def histogram(assets, bins: int = 50, value_range: tuple[float, float] | None = None) -> Histogram:
-    """Linear-bin histogram of an asset vector; the top edge is inclusive.
+def histogram(assets, bins: int = 50) -> Histogram:
+    """Linear-bin histogram of an asset vector over [0, max(assets)].
 
-    When ``value_range`` is omitted it defaults to [0, max(assets)]
-    (widened to [0, 1] if all assets are zero, to keep edges ascending).
+    The top edge is inclusive. The range widens to [0, 1] when no asset is
+    positive, to keep the edges ascending.
     """
     a = np.asarray(assets, dtype=float)
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
     if a.ndim != 1 or a.size == 0:
         raise ValueError("histogram needs a non-empty 1-d vector")
-    if value_range is None:
-        hi = float(a.max())
-        value_range = (0.0, hi if hi > 0.0 else 1.0)
-    lo, hi = value_range
-    if not hi > lo:
-        raise ValueError(f"range upper bound must exceed lower bound, got {value_range}")
-    counts, edges = np.histogram(a, bins=bins, range=(lo, hi))
+    hi = float(a.max())
+    counts, edges = np.histogram(a, bins=bins, range=(0.0, hi if hi > 0.0 else 1.0))
     return Histogram(bin_edges=edges, counts=counts)
 
 

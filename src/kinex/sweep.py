@@ -23,7 +23,7 @@ import json
 import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -135,14 +135,6 @@ def read_sweep_table(path: str | Path) -> list[SweepCell]:
     return cells
 
 
-@dataclass(frozen=True)
-class GiniSeries:
-    saving_rate: float
-    surplus_rate: float
-    times: tuple[int, ...]
-    g_values: tuple[float, ...]
-
-
 def replicate_seed(base_seed: int, lambda_index: int, gamma_index: int,
                    replicate: int) -> int:
     """Stable 64-bit child seed for one replicate of one grid cell."""
@@ -231,15 +223,3 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SweepCell]:
                 replicates=spec.replicates,
             ))
     return cells
-
-
-def gini_time_series(params: SimulationParams, sample_times) -> GiniSeries:
-    """Run once and evaluate the Gini index at each sample time.
-
-    Time 0 is allowed and evaluates the all-equal initial state (Gini 0).
-    """
-    times = tuple(int(t) for t in sample_times)
-    result = run_simulation(replace(params, snapshot_times=times))
-    g_values = tuple(gini(result.snapshots[t]) for t in times)
-    return GiniSeries(saving_rate=params.saving_rate, surplus_rate=params.surplus_rate,
-                      times=times, g_values=g_values)

@@ -316,6 +316,38 @@ class TestConfigHandling:
         assert "Traceback" not in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]  # nothing written
 
+    # input files written for every case below; a case may read any of them
+    INPUTS = {
+        "table.csv": "lambda,gamma,mean_g,mean_f,mean_tau\n"
+                     "0.2,0.5,0.5,0.4,0.1\n0.4,0.5,0.4,0.3,0.2\n",
+        "bad_row.csv": "lambda,gamma,mean_g,mean_f,mean_tau\nx,y\n",
+        "sweep.json": json.dumps({"sweep": SMALL_SWEEP["sweep"]}),
+        "xml.json": json.dumps({"output": {"format": "xml"}}),
+    }
+    BAD_INPUTS = [
+        (["empirical", "--thresholds", "650,450"], {}),
+        (["fit", "--table", "missing.csv"], {}),
+        (["fit", "--table", "bad_row.csv"], {}),
+        (["sweep", "--config", "sweep.json"], {"KINEX_THREADS": "abc"}),
+        (["fit", "--table", "table.csv", "--config", "xml.json"], {}),
+    ]
+
+    @pytest.mark.parametrize("argv, env", BAD_INPUTS,
+                             ids=[" ".join(argv) + "".join(f" {k}={v}" for k, v in env.items())
+                                  for argv, env in BAD_INPUTS])
+    def test_bad_input_exits_two_without_writing(self, tmp_path, monkeypatch, capsys,
+                                                 table1_path, argv, env):
+        for name, text in self.INPUTS.items():
+            (tmp_path / name).write_text(text)
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        if argv[0] == "empirical":
+            argv = argv + ["--data", str(table1_path)]
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(argv) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(self.INPUTS)
+
     def test_readme_lists_the_defaults(self):
         section = README.read_text(encoding="utf-8").split("### Configuration file", 1)[1]
         block = section.split("```json\n", 1)[1].split("```", 1)[0]
@@ -326,7 +358,7 @@ class TestConfigHandling:
         monkeypatch.setenv("KINEX_THREADS", threads)
         cfg = write_config(tmp_path, SMALL_SWEEP)
         assert run_cli(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert not (tmp_path / "o" / "sweep.csv").exists()
+        assert not (tmp_path / "o").exists()
 
 
 def _tree_bytes(root: Path) -> dict:

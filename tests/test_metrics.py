@@ -162,12 +162,12 @@ class TestKendallTau:
 
 class TestHistogram:
     def test_one_point_per_half(self):
-        h = histogram([0.5, 1.5], bins=2, value_range=(0.0, 2.0))
+        h = histogram([0.5, 2.0], bins=2)
         assert h.counts.tolist() == [1, 1]
         assert h.bin_edges.tolist() == [0.0, 1.0, 2.0]
 
     def test_constant_sample_lands_in_one_bin(self):
-        h = histogram([1.0, 1.0, 1.0], bins=1, value_range=(0.0, 2.0))
+        h = histogram([1.0, 1.0, 1.0], bins=1)
         assert h.counts.tolist() == [3]
 
     def test_counts_partition_large_sample(self):
@@ -176,7 +176,7 @@ class TestHistogram:
         assert int(h.counts.sum()) == 100_000
 
     def test_top_edge_is_inclusive(self):
-        h = histogram([2.0], bins=4, value_range=(0.0, 2.0))
+        h = histogram([2.0], bins=4)
         assert h.counts.tolist() == [0, 0, 0, 1]
 
     def test_default_range_starts_at_zero(self):

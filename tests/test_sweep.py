@@ -4,8 +4,8 @@ import warnings
 import pytest
 
 import kinex.sweep
-from kinex import (ConfigError, SimulationParams, SweepSpec, gini_time_series,
-                   replicate_seed, run_sweep)
+from kinex import (ConfigError, SimulationParams, SweepSpec, gini, replicate_seed,
+                   run_simulation, run_sweep)
 from kinex.sweep import _resolve_workers
 
 
@@ -131,25 +131,31 @@ class TestRunSweep:
             run_sweep(small_spec(), workers=1)
 
 
+def gini_series(params):
+    # Gini index at each snapshot time of one run, in time order
+    snapshots = run_simulation(params).snapshots
+    return [gini(snapshots[t]) for t in sorted(snapshots)]
+
+
 class TestGiniTimeSeries:
     def test_time_zero_is_perfect_equality(self):
         params = SimulationParams(n_agents=50, saving_rate=0.4, surplus_rate=0.5,
-                                  t_max=500, seed=2)
-        series = gini_time_series(params, [0, 100, 500])
-        assert series.times == (0, 100, 500)
-        assert series.g_values[0] == pytest.approx(0.0, abs=1e-12)
-        assert len(series.g_values) == 3
+                                  t_max=500, seed=2, snapshot_times=(0, 100, 500))
+        g_values = gini_series(params)
+        assert g_values[0] == pytest.approx(0.0, abs=1e-12)
+        assert len(g_values) == 3
 
     def test_high_surplus_rate_nearly_converges_by_horizon(self):
         params = SimulationParams(n_agents=1000, saving_rate=0.4, surplus_rate=1.0,
-                                  t_max=100_000, seed=0)
-        series = gini_time_series(params, [50_000, 100_000])
-        assert abs(series.g_values[1] - series.g_values[0]) < 0.05
+                                  t_max=100_000, seed=0, snapshot_times=(50_000, 100_000))
+        g_values = gini_series(params)
+        assert abs(g_values[1] - g_values[0]) < 0.05
 
     def test_zero_surplus_rate_keeps_concentrating(self):
         # the gamma = 0 rule drifts toward full concentration and is still
         # rising an order of magnitude past the usual horizon
         params = SimulationParams(n_agents=1000, saving_rate=0.4, surplus_rate=0.0,
-                                  t_max=1_000_000, seed=0)
-        series = gini_time_series(params, [100_000, 1_000_000])
-        assert series.g_values[1] > series.g_values[0]
+                                  t_max=1_000_000, seed=0,
+                                  snapshot_times=(100_000, 1_000_000))
+        g_values = gini_series(params)
+        assert g_values[1] > g_values[0]
