@@ -29,9 +29,9 @@ from .empirical import (classify_groups, derive, fit_groups, load_countries,
 from .errors import ConfigError, DegenerateDataError, KinexError, ParseError
 from .exchange import SimulationParams, _is_integer, run_simulation
 from .fitting import fit_linear, flow_gini_ratio_points, tau_vs_flow_points
-from .metrics import gamma_fit, gini, histogram, kendall_tau, total_exchange
+from .metrics import gamma_fit, gini, histogram
 from .sweep import (SWEEP_COLUMNS, SweepSpec, _resolve_workers, read_sweep_table,
-                    resolve_times, run_sweep)
+                    resolve_times, run_indexes, run_sweep)
 
 SCHEMA_COMMENT = "# kinex-schema v1"
 
@@ -74,7 +74,7 @@ def load_config(path: str | None) -> dict:
         return config
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
@@ -182,13 +182,12 @@ def cmd_simulate(args, config: dict, out_dir: Path, fmt: str) -> int:
     _write_table(out_dir, "gamma_fits", ["t", "n_positive", "shape", "scale"],
                  gamma_rows, fmt)
 
-    flow = total_exchange(result.cumulative_pool, t_max)
-    tau = kendall_tau(result.snapshots[t1], result.snapshots[t2])
+    final_gini, flow, tau = run_indexes(result, t1, t2)
     _write_json(out_dir, "summary.json", {
         "cumulative_pool": result.cumulative_pool,
         "total_exchange": flow,
         "kendall_tau": tau,
-        "final_gini": gini(result.snapshots[t2]),
+        "final_gini": final_gini,
         "t1": t1,
         "t2": t2,
     })
@@ -217,7 +216,7 @@ def cmd_sweep(args, config: dict, out_dir: Path, fmt: str) -> int:
 def cmd_fit(args, config: dict, out_dir: Path, fmt: str) -> int:
     try:
         cells = read_sweep_table(args.table)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read sweep table {args.table}: {exc}") from exc
     _write_json(out_dir, "resolved_config.json", config)
 
@@ -259,7 +258,7 @@ def cmd_fit(args, config: dict, out_dir: Path, fmt: str) -> int:
 def cmd_empirical(args, config: dict, out_dir: Path, fmt: str) -> int:
     try:
         records = load_countries(args.data)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read data file {args.data}: {exc}") from exc
     derived, incomplete = derive(records)
     thresholds = config["empirical"]["thresholds"]

@@ -200,19 +200,14 @@ def fit_groups(records: list[DerivedRecord]) -> list[GroupFit]:
     fewer than two usable members (x > 0) is reported as unfittable; the
     other groups still proceed.
     """
-    order: list[str] = []
     by_group: dict[str, list[DerivedRecord]] = {}
     for r in records:
-        key = r.group or "all"
-        if key not in by_group:
-            by_group[key] = []
-            order.append(key)
-        by_group[key].append(r)
-    canonical = [g for g in (GROUP_HIGH, GROUP_MIDDLE, GROUP_LOW) if g in by_group]
-    canonical += [g for g in order if g not in canonical]
+        by_group.setdefault(r.group or "all", []).append(r)
+    # high, middle, low first; other labels in first-seen order (the sort is stable)
+    rank = {GROUP_HIGH: 0, GROUP_MIDDLE: 1, GROUP_LOW: 2}
 
     fits = []
-    for group in canonical:
+    for group in sorted(by_group, key=lambda g: rank.get(g, 3)):
         members = by_group[group]
         usable = [r for r in members if r.x > 0.0]
         excluded = tuple(r.name for r in members if r.x <= 0.0)

@@ -168,9 +168,6 @@ def run_simulation(params: SimulationParams) -> RunResult:
     snapshots: dict[int, np.ndarray] = {}
     snap_iter = iter(params.snapshot_times)
     next_snap = next(snap_iter, t_max + 1)  # t_max + 1 = "none left"
-    if next_snap == 0:
-        snapshots[0] = np.array(assets)
-        next_snap = next(snap_iter, t_max + 1)
 
     cumulative = 0.0
     t = 0
@@ -180,7 +177,7 @@ def run_simulation(params: SimulationParams) -> RunResult:
         start = t
         end = t + block
         while t < end:
-            # steps t+1 .. stop; a chunk never runs past the next snapshot
+            # steps t+1 .. stop, never past the next snapshot (an empty chunk for time 0)
             stop = min(t + _CHUNK, end, next_snap)
             lo = t - start
             hi = stop - start

@@ -89,13 +89,9 @@ def _inversions(ranks: np.ndarray) -> int:
     return inversions
 
 
-def _pairs_within(run_lengths: np.ndarray) -> int:
-    return int((run_lengths * (run_lengths - 1) // 2).sum())
-
-
-def _run_lengths(starts: np.ndarray) -> np.ndarray:
-    # lengths of the runs whose first positions are flagged in ``starts``
-    return np.diff(np.append(np.flatnonzero(starts), starts.size))
+def _pairs_within(counts: np.ndarray) -> int:
+    # pairs that share a value, from the number of entries of each value
+    return int((counts * (counts - 1) // 2).sum())
 
 
 def kendall_tau(assets_t1, assets_t2) -> float:
@@ -120,23 +116,16 @@ def kendall_tau(assets_t1, assets_t2) -> float:
         raise ValueError("kendall_tau needs 1-d vectors of length >= 2")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("kendall_tau requires finite assets")
-    n = x.size
-    n_pairs = n * (n - 1) // 2
+    n_pairs = x.size * (x.size - 1) // 2
 
+    _, x_rank, x_counts = np.unique(x, return_inverse=True, return_counts=True)
     _, y_rank, y_counts = np.unique(y, return_inverse=True, return_counts=True)
-    order = np.lexsort((y, x))
-    x_sorted = x[order]
-    y_rank = y_rank.ravel()[order]
-    discordant = _inversions(y_rank)
-
-    x_starts = np.empty(n, dtype=bool)
-    x_starts[0] = True
-    np.not_equal(x_sorted[1:], x_sorted[:-1], out=x_starts[1:])
-    both_starts = x_starts.copy()
-    both_starts[1:] |= y_rank[1:] != y_rank[:-1]
-    ties_x = _pairs_within(_run_lengths(x_starts))
+    key = x_rank * len(y_counts) + y_rank  # orders agents by x, then y
+    _, key_counts = np.unique(key, return_counts=True)
+    discordant = _inversions(y_rank[np.argsort(key)])
+    ties_x = _pairs_within(x_counts)
     ties_y = _pairs_within(y_counts)
-    ties_both = _pairs_within(_run_lengths(both_starts))
+    ties_both = _pairs_within(key_counts)
     comparable = n_pairs - ties_x - ties_y + ties_both
     if comparable == 0:
         warnings.warn("all agent pairs are tied; tau defined as 0", stacklevel=2)

@@ -2,10 +2,10 @@
 
 Each grid cell runs ``replicates`` independent simulations whose seeds are
 derived from (base_seed, lambda-index, gamma-index, replicate-index) via an
-8-byte BLAKE2b hash, so every cell owns a stable random stream. Per
-replicate, the Gini index is taken from the t2 snapshot, the flow from the
-accumulated pool over t_max, and the rank correlation between the t1 and
-t2 snapshots.
+8-byte BLAKE2b hash, so every cell owns a stable random stream. Each
+replicate is scored by :func:`run_indexes`: the Gini index of the t2
+snapshot, the flow from the accumulated pool over t_max, and the rank
+correlation between the t1 and t2 snapshots.
 
 Cells and replicates are embarrassingly parallel: with more than one
 worker they are dispatched to a process pool, and the aggregation always
@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ParseError
-from .exchange import SimulationParams, _is_integer, run_simulation
+from .exchange import RunResult, SimulationParams, _is_integer, run_simulation
 from .metrics import gini, kendall_tau, total_exchange
 
 
@@ -46,6 +46,13 @@ def resolve_times(t_max: int, t1: int | None, t2: int | None) -> tuple[int, int]
         raise ValueError(f"need integers 0 <= t1 < t2 <= t_max, got t1={t1!r}, "
                          f"t2={t2!r}, t_max={t_max!r}")
     return int(t1), int(t2)
+
+
+def run_indexes(result: RunResult, t1: int, t2: int) -> tuple[float, float, float]:
+    """One run's (g, f, tau): Gini at t2, flow over t_max, Kendall tau from t1 to t2."""
+    t2_assets = result.snapshots[t2]
+    return (gini(t2_assets), total_exchange(result.cumulative_pool, result.params.t_max),
+            kendall_tau(result.snapshots[t1], t2_assets))
 
 
 @dataclass(frozen=True)
@@ -112,18 +119,32 @@ _OPTIONAL_COLUMNS = {"std_g": 0.0, "std_f": 0.0, "std_tau": 0.0, "replicates": 1
 
 
 def read_sweep_table(path: str | Path) -> list[SweepCell]:
-    """Read a sweep table previously written by ``kinex sweep``."""
+    """Read a sweep table previously written by ``kinex sweep``.
+
+    A ParseError gives a CSV row's file line, or a JSON row's position
+    counting the column list as 1.
+    """
     path = Path(path)
     if path.suffix == ".json":
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        rows = [dict(zip(doc["columns"], row)) for row in doc["rows"]]
+        try:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            lines = list(enumerate([list(doc["columns"]), *doc["rows"]], start=1))
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise ParseError(f"not a JSON sweep table: {exc!r}", 1) from None
     else:
         with open(path, newline="", encoding="utf-8") as fh:
-            lines = [line for line in fh if not line.startswith("#")]
-        rows = list(csv.DictReader(lines))
+            reader = csv.reader(fh)
+            lines = [(reader.line_num, row) for row in reader
+                     if row and not row[0].startswith("#")]
+    (header_line, header), *rows = lines or [(1, [])]
+    if any(column in header[:k] for k, column in enumerate(header)):
+        raise ParseError(f"repeated column name in {header}", header_line)
     cells = []
-    for line_number, row in enumerate(rows, start=1):
+    for line_number, row in rows:
         try:
+            if len(row) != len(header):
+                raise ValueError(f"expected {len(header)} cells, got {len(row)}")
+            row = dict(zip(header, row))
             values = {}
             for column, field in SWEEP_COLUMNS.items():
                 value = (row.get(column) or _OPTIONAL_COLUMNS[column]
@@ -165,22 +186,11 @@ def _replicate_metrics(spec: SweepSpec, li: int, gi: int, r: int) -> tuple[float
             t_max=spec.t_max, seed=replicate_seed(spec.base_seed, li, gi, r),
             snapshot_times=(spec.t1, spec.t2),
         )
-        result = run_simulation(params)
-        g = gini(result.snapshots[spec.t2])
-        f = total_exchange(result.cumulative_pool, spec.t_max)
-        tau = kendall_tau(result.snapshots[spec.t1], result.snapshots[spec.t2])
+        return run_indexes(run_simulation(params), spec.t1, spec.t2)
     except Exception as exc:
         raise RuntimeError(
             f"sweep cell lambda={lam} gamma={gam} replicate={r} failed: {exc}"
         ) from exc
-    return g, f, tau
-
-
-def _job_args(spec: SweepSpec):
-    for li in range(len(spec.lambda_values)):
-        for gi in range(len(spec.gamma_values)):
-            for r in range(spec.replicates):
-                yield spec, li, gi, r
 
 
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SweepCell]:
@@ -189,37 +199,30 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SweepCell]:
     ``workers`` overrides the KINEX_THREADS / cpu_count default; either is
     capped at ``os.cpu_count()``. Results are identical for any worker count.
     """
-    n_cells = len(spec.lambda_values) * len(spec.gamma_values)
-    seeds = [replicate_seed(spec.base_seed, li, gi, r)
-             for _, li, gi, r in _job_args(spec)]
-    if len(set(seeds)) != len(seeds):
+    jobs = [(spec, li, gi, r) for li in range(len(spec.lambda_values))
+            for gi in range(len(spec.gamma_values)) for r in range(spec.replicates)]
+    seeds = {replicate_seed(spec.base_seed, li, gi, r) for _, li, gi, r in jobs}
+    if len(seeds) != len(jobs):
         raise RuntimeError("replicate seed collision; choose a different base_seed")
 
-    n_jobs = n_cells * spec.replicates
-    n_workers = min(_resolve_workers(workers), n_jobs)
+    n_workers = min(_resolve_workers(workers), len(jobs))
     if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            chunk = max(1, n_jobs // (4 * n_workers))
-            outcomes = list(pool.map(_replicate_metrics,
-                                     *zip(*_job_args(spec)), chunksize=chunk))
+            chunk = max(1, len(jobs) // (4 * n_workers))
+            outcomes = list(pool.map(_replicate_metrics, *zip(*jobs), chunksize=chunk))
     else:
-        outcomes = [_replicate_metrics(*args) for args in _job_args(spec)]
+        outcomes = [_replicate_metrics(*job) for job in jobs]
 
     cells = []
-    pos = 0
-    for li, lam in enumerate(spec.lambda_values):
-        for gi, gam in enumerate(spec.gamma_values):
-            block = outcomes[pos:pos + spec.replicates]
-            pos += spec.replicates
-            gs = np.array([b[0] for b in block])
-            fs = np.array([b[1] for b in block])
-            taus = np.array([b[2] for b in block])
-            cells.append(SweepCell(
-                saving_rate=lam, surplus_rate=gam,
-                mean_g=float(gs.mean()), mean_f=float(fs.mean()),
-                mean_tau=float(taus.mean()),
-                std_g=float(gs.std()), std_f=float(fs.std()),
-                std_tau=float(taus.std()),
-                replicates=spec.replicates,
-            ))
+    for pos in range(0, len(jobs), spec.replicates):
+        _, li, gi, _ = jobs[pos]
+        gs, fs, taus = (np.array(v) for v in zip(*outcomes[pos:pos + spec.replicates]))
+        cells.append(SweepCell(
+            saving_rate=spec.lambda_values[li], surplus_rate=spec.gamma_values[gi],
+            mean_g=float(gs.mean()), mean_f=float(fs.mean()),
+            mean_tau=float(taus.mean()),
+            std_g=float(gs.std()), std_f=float(fs.std()),
+            std_tau=float(taus.std()),
+            replicates=spec.replicates,
+        ))
     return cells

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from kinex import SweepCell
+from kinex import ParseError, SweepCell
 from kinex.cli import load_config, main, read_sweep_table
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -162,6 +162,27 @@ class TestSweepAndFit:
             saving_rate=0.2, surplus_rate=0.0, mean_g=0.5, mean_f=0.4, mean_tau=0.0,
             std_g=0.0, std_f=0.0, std_tau=0.0, replicates=1)]
 
+    def test_reader_reports_file_lines_and_repeated_columns(self, tmp_path):
+        header = "lambda,gamma,mean_g,mean_f,mean_tau"
+        table = tmp_path / "t.csv"
+        # schema comment, header, one good row, then a bad value on file line 4
+        table.write_text(f"# kinex-schema v1\n{header}\n0.2,0.5,0.5,0.4,0.1\n"
+                         "0.4,oops,0.4,0.3,0.2\n")
+        with pytest.raises(ParseError) as info:
+            read_sweep_table(table)
+        assert info.value.line_number == 4
+        table.write_text(f"# kinex-schema v1\n{header},lambda\n0.2,0.5,0.5,0.4,0.1,0.3\n")
+        with pytest.raises(ParseError, match="repeated column") as info:
+            read_sweep_table(table)
+        assert info.value.line_number == 2
+        # a JSON table counts its column list as line 1 and its rows from 2
+        table = tmp_path / "t.json"
+        table.write_text(json.dumps({"columns": header.split(","),
+                                     "rows": [[0.2, 0.5, 0.5, 0.4, 0.1], [0.4, 0.5, 0.4]]}))
+        with pytest.raises(ParseError, match="expected 5 cells, got 3") as info:
+            read_sweep_table(table)
+        assert info.value.line_number == 3
+
     def test_fit_on_exact_law_table(self, tmp_path):
         # cells placed exactly on f/g = 0.5*ln((1-lam)*gamma) + 2 and tau = -f
         rows = ["# kinex-schema v1",
@@ -316,13 +337,22 @@ class TestConfigHandling:
         assert "Traceback" not in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]  # nothing written
 
-    # input files written for every case below; a case may read any of them
+    # input files written for every case below; a case may read any of them.
+    # The bytes values are Latin-1 text, which is not valid UTF-8.
     INPUTS = {
         "table.csv": "lambda,gamma,mean_g,mean_f,mean_tau\n"
                      "0.2,0.5,0.5,0.4,0.1\n0.4,0.5,0.4,0.3,0.2\n",
         "bad_row.csv": "lambda,gamma,mean_g,mean_f,mean_tau\nx,y\n",
         "sweep.json": json.dumps({"sweep": SMALL_SWEEP["sweep"]}),
         "xml.json": json.dumps({"output": {"format": "xml"}}),
+        "empty.json": "{}",
+        "not_json.json": "{not json",
+        "scalar_row.json": json.dumps({"columns": ["lambda"], "rows": [5]}),
+        "latin1_config.json": '{"output": {"dir": "r\xe9sultats"}}'.encode("latin-1"),
+        "latin1_data.csv": "country,f,g,lambda,gamma\n"
+                           "C\xf4te d'Ivoire,1,0.3,0.2,0.2\n".encode("latin-1"),
+        "latin1_table.csv": "# \xe9t\xe9\nlambda,gamma,mean_g,mean_f,mean_tau\n"
+                            "0.2,0.5,0.5,0.4,0.1\n".encode("latin-1"),
     }
     BAD_INPUTS = [
         (["empirical", "--thresholds", "650,450"], {}),
@@ -330,6 +360,12 @@ class TestConfigHandling:
         (["fit", "--table", "bad_row.csv"], {}),
         (["sweep", "--config", "sweep.json"], {"KINEX_THREADS": "abc"}),
         (["fit", "--table", "table.csv", "--config", "xml.json"], {}),
+        (["fit", "--table", "empty.json"], {}),
+        (["fit", "--table", "not_json.json"], {}),
+        (["fit", "--table", "scalar_row.json"], {}),
+        (["simulate", "--config", "latin1_config.json"], {}),
+        (["empirical", "--data", "latin1_data.csv"], {}),
+        (["fit", "--table", "latin1_table.csv"], {}),
     ]
 
     @pytest.mark.parametrize("argv, env", BAD_INPUTS,
@@ -337,11 +373,12 @@ class TestConfigHandling:
                                   for argv, env in BAD_INPUTS])
     def test_bad_input_exits_two_without_writing(self, tmp_path, monkeypatch, capsys,
                                                  table1_path, argv, env):
-        for name, text in self.INPUTS.items():
-            (tmp_path / name).write_text(text)
+        for name, content in self.INPUTS.items():
+            data = content if isinstance(content, bytes) else content.encode()
+            (tmp_path / name).write_bytes(data)
         for key, value in env.items():
             monkeypatch.setenv(key, value)
-        if argv[0] == "empirical":
+        if argv[0] == "empirical" and "--data" not in argv:
             argv = argv + ["--data", str(table1_path)]
         monkeypatch.chdir(tmp_path)
         assert run_cli(argv) == 2

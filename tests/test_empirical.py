@@ -199,6 +199,11 @@ class TestFitGroups:
         assert fits["low"].fit.r_squared < min(fits["high"].fit.r_squared,
                                                fits["middle"].fit.r_squared)
 
+    def test_group_order_is_high_middle_low_then_first_seen(self, table1_derived):
+        labels = ["low", "ad hoc", "high", None]
+        records = [dataclasses.replace(r, group=g) for r, g in zip(table1_derived, labels)]
+        assert [gf.group for gf in fit_groups(records)] == ["high", "low", "ad hoc", "all"]
+
     def test_tiny_group_is_reported_unfittable(self, table1_derived):
         classified = classify_groups(table1_derived, (100.0, 5000.0))  # empty high
         fits = {g.group: g for g in fit_groups(classified)}
