@@ -12,7 +12,7 @@ selector); no images are rendered.
 
 Exit codes: 0 success, 1 runtime/numeric failure, 2 usage/config failure.
 Same config + same seed always produce byte-identical output files,
-independent of the KINEX_THREADS worker cap.
+independent of the KINEX_THREADS worker cap and of the exchange backend.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def load_config(path: str | None) -> dict:
     if path is None:
         return config
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -92,9 +92,9 @@ def load_countries(source) -> list[CountryRecord]:
     rather than taken at face value.
     """
     if isinstance(source, (str, Path)):
-        with open(source, newline="", encoding="utf-8") as fh:
-            return load_countries(fh)
-
+        # utf-8-sig drops the byte-order mark that spreadsheet programs write
+        with open(source, newline="", encoding="utf-8-sig") as fh:
+            source = fh.readlines()
     rows = csv.reader(source)
     header = None
     line_number = 0

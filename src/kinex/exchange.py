@@ -20,25 +20,44 @@ reproducibility contract; ``_CHUNK``, the number of steps the loop takes
 from a block at a time, is not. :func:`_exchange` is the one definition of
 the rule and its float operations: the reference any faster kernel must
 match bit for bit. Seed 0 is legal.
+
+Backends: ``_kernel.c`` is a line-for-line C transliteration of
+:func:`_exchange`, which :func:`_load_kernel` builds with the system ``gcc``
+into a per-user cache. Runs take it when it is cached or can be built, and
+:func:`_exchange` itself otherwise, with one warning. Only the loop body
+and the asset container (a list, or a float64 array for C) depend on the
+backend, and the results are bit-identical. The backend is resolved once
+per process on first use, never at import.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
+import os
+import warnings
 from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
+
 
 # Random draws are made in blocks of this many steps to keep the inner
 # loop free of generator calls. Part of the reproducibility contract:
 # changing it changes golden outputs.
 _BLOCK = 1 << 17
 
-# Steps of a block converted to Python lists at a time, which bounds the
-# memory held by list copies of the draws. Not part of the contract: any
-# value gives the same outputs.
+# Steps of a block passed to the loop body at a time, which bounds the
+# memory the Python backend holds in list copies of the draws. Not part of
+# the contract: any value gives the same outputs.
 _CHUNK = 4096
+
+_KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
+# -ffp-contract=off forbids fused multiply-adds. -ffast-math and
+# -march=native must never be added: either one changes result bits.
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 
 @dataclass(frozen=True)
@@ -80,6 +99,8 @@ class SimulationParams:
             raise ValueError(f"snapshot_times must be strictly ascending: {snaps}")
         for name in ("n_agents", "t_max", "seed"):
             object.__setattr__(self, name, int(getattr(self, name)))
+        for name in ("saving_rate", "surplus_rate", "initial_asset"):  # so both backends
+            object.__setattr__(self, name, float(getattr(self, name)))  # compute in doubles
         object.__setattr__(self, "snapshot_times", tuple(int(t) for t in snaps))
 
 
@@ -152,6 +173,90 @@ def _exchange(assets: list, ii: np.ndarray, jj: np.ndarray, ee: np.ndarray,
     return cumulative
 
 
+def _load_kernel() -> Callable:
+    """Load ``_kernel.c``, building it into the cache first if it is not there.
+
+    Returns a function with the signature of :func:`_exchange` that takes
+    a float64 asset array. The cached library is keyed by the SHA-256 of
+    the source, the flags and the platform. It is compiled to a temporary
+    file and renamed into place, so processes may build at the same time.
+    Raises OSError when there is no ``gcc``, the build fails or the cache
+    is unwritable.
+    """
+    import ctypes
+    import hashlib
+    import shutil
+    import subprocess
+    import sysconfig
+    import tempfile
+
+    source = _KERNEL_SOURCE.read_bytes()
+    key = hashlib.sha256(b"\0".join([source, " ".join(_CFLAGS).encode(),
+                                     sysconfig.get_platform().encode()])).hexdigest()
+    xdg = os.environ.get("XDG_CACHE_HOME", "")  # a relative value is ignored, as XDG says
+    cache = (Path(xdg) if os.path.isabs(xdg) else Path.home() / ".cache") / "kinex"
+    path = cache / f"exchange-{key[:16]}.so"
+    if not path.exists():
+        gcc = shutil.which("gcc")
+        if gcc is None:
+            raise OSError("no gcc on PATH")
+        cache.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+        os.close(fd)
+        try:
+            build = subprocess.run([gcc, *_CFLAGS, "-x", "c", "-", "-o", tmp],
+                                   input=source, capture_output=True)
+            if build.returncode:
+                raise OSError(f"gcc failed: {build.stderr.decode(errors='replace').strip()}")
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    kernel = ctypes.CDLL(str(path)).kinex_exchange
+    kernel.restype = ctypes.c_double
+    kernel.argtypes = (ctypes.c_void_p,) * 4 + (ctypes.c_int64,) + (ctypes.c_double,) * 3
+
+    def exchange(assets: np.ndarray, ii: np.ndarray, jj: np.ndarray, ee: np.ndarray,
+                 saving_rate: float, surplus_rate: float, cumulative: float) -> float:
+        # the kernel reads raw memory; _draw_block's slices are contiguous
+        if not (ii.dtype == jj.dtype == np.int64 and ee.dtype == assets.dtype == np.float64):
+            raise TypeError("the C exchange kernel needs int64 ii/jj and float64 ee/assets")
+        return kernel(assets.ctypes.data, ii.ctypes.data, jj.ctypes.data, ee.ctypes.data,
+                      len(ii), saving_rate, surplus_rate, cumulative)
+
+    return exchange
+
+
+class _Backend(NamedTuple):
+    name: str             # "c" or "python"
+    exchange: Callable    # the loop body, with the signature of _exchange
+    container: Callable   # list of initial assets -> the container it updates
+
+
+def _load_backend(name: str) -> _Backend:
+    """The ``"python"`` reference, or the ``"c"`` kernel, which raises
+    OSError or RuntimeError (no home directory) when it cannot be built."""
+    if name == "c":
+        return _Backend("c", _load_kernel(), np.array)
+    return _Backend("python", _exchange, list)
+
+
+@functools.cache
+def _resolve_backend() -> _Backend:
+    """The C kernel when it is cached or can be built, else the Python reference.
+
+    Resolved once per process, on first use. The fallback gives the same
+    results about ten times slower, so it warns once, with the reason.
+    """
+    try:
+        return _load_backend("c")
+    except (OSError, RuntimeError) as exc:
+        warnings.warn(f"the C exchange kernel is unavailable ({exc}); running the "
+                      "Python reference, which gives the same results more slowly",
+                      RuntimeWarning, stacklevel=2)
+        return _load_backend("python")
+
+
 def run_simulation(params: SimulationParams) -> RunResult:
     """Run ``t_max`` pairwise exchanges from the all-equal initial state.
 
@@ -163,8 +268,9 @@ def run_simulation(params: SimulationParams) -> RunResult:
     n = params.n_agents
     t_max = params.t_max
     rng = np.random.default_rng(params.seed)
+    backend = _resolve_backend()
 
-    assets = [float(params.initial_asset)] * n
+    assets = backend.container([params.initial_asset] * n)
     snapshots: dict[int, np.ndarray] = {}
     snap_iter = iter(params.snapshot_times)
     next_snap = next(snap_iter, t_max + 1)  # t_max + 1 = "none left"
@@ -181,8 +287,9 @@ def run_simulation(params: SimulationParams) -> RunResult:
             stop = min(t + _CHUNK, end, next_snap)
             lo = t - start
             hi = stop - start
-            cumulative = _exchange(assets, ii[lo:hi], jj[lo:hi], ee[lo:hi],
-                                   params.saving_rate, params.surplus_rate, cumulative)
+            cumulative = backend.exchange(assets, ii[lo:hi], jj[lo:hi], ee[lo:hi],
+                                          params.saving_rate, params.surplus_rate,
+                                          cumulative)
             t = stop
             if t == next_snap:
                 snapshots[t] = np.array(assets)

@@ -29,7 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ParseError
-from .exchange import RunResult, SimulationParams, _is_integer, run_simulation
+from .exchange import (RunResult, SimulationParams, _is_integer, _resolve_backend,
+                       run_simulation)
 from .metrics import gini, kendall_tau, total_exchange
 
 
@@ -127,12 +128,12 @@ def read_sweep_table(path: str | Path) -> list[SweepCell]:
     path = Path(path)
     if path.suffix == ".json":
         try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
+            doc = json.loads(path.read_text(encoding="utf-8-sig"))
             lines = list(enumerate([list(doc["columns"]), *doc["rows"]], start=1))
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ParseError(f"not a JSON sweep table: {exc!r}", 1) from None
     else:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             lines = [(reader.line_num, row) for row in reader
                      if row and not row[0].startswith("#")]
@@ -206,6 +207,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SweepCell]:
         raise RuntimeError("replicate seed collision; choose a different base_seed")
 
     n_workers = min(_resolve_workers(workers), len(jobs))
+    _resolve_backend()  # once here, so forked workers inherit a loaded kernel
     if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             chunk = max(1, len(jobs) // (4 * n_workers))

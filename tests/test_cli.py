@@ -162,6 +162,17 @@ class TestSweepAndFit:
             saving_rate=0.2, surplus_rate=0.0, mean_g=0.5, mean_f=0.4, mean_tau=0.0,
             std_g=0.0, std_f=0.0, std_tau=0.0, replicates=1)]
 
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    def test_reader_skips_byte_order_mark(self, tmp_path, suffix):
+        columns = ["lambda", "gamma", "mean_g", "mean_f", "mean_tau"]
+        text = (json.dumps({"columns": columns, "rows": [[0.2, 0.5, 0.5, 0.4, 0.1]]})
+                if suffix == ".json" else ",".join(columns) + "\n0.2,0.5,0.5,0.4,0.1\n")
+        plain, bom = tmp_path / f"plain{suffix}", tmp_path / f"bom{suffix}"
+        plain.write_text(text)
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert len(read_sweep_table(plain)) == 1
+        assert read_sweep_table(bom) == read_sweep_table(plain)
+
     def test_reader_reports_file_lines_and_repeated_columns(self, tmp_path):
         header = "lambda,gamma,mean_g,mean_f,mean_tau"
         table = tmp_path / "t.csv"
@@ -384,6 +395,11 @@ class TestConfigHandling:
         assert run_cli(argv) == 2
         assert "Traceback" not in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(self.INPUTS)
+
+    def test_config_with_byte_order_mark(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps(SMALL_SIM).encode())
+        assert load_config(str(path))["simulate"]["n_agents"] == 120
 
     def test_readme_lists_the_defaults(self):
         section = README.read_text(encoding="utf-8").split("### Configuration file", 1)[1]

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import warnings
 
 import pytest
 
@@ -88,6 +89,27 @@ class TestLoadCountries:
     def test_missing_required_column_is_an_error(self):
         with pytest.raises(ParseError):
             load_text("country,f,g,lambda\nX,10,0.3,0.2\n")
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # spreadsheet programs start UTF-8 files with the bytes EF BB BF
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfcountry,f,g,lambda,gamma\nAustria,497,0.303,0.272,0.255\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (rec,) = load_countries(path)
+        assert rec.name == "Austria" and rec.complete
+
+    @pytest.mark.parametrize("as_path", [True, False])
+    def test_warnings_point_at_the_caller(self, tmp_path, as_path):
+        path = tmp_path / "t.csv"
+        path.write_text("country,f,g,lambda,gamma,notes\nIsrael,420,0.000,0.245,0.234,x\n")
+        with pytest.warns(UserWarning) as record:
+            if as_path:
+                load_countries(path)
+            else:
+                load_text(path.read_text())
+        # one for the unknown column, one for the zero Gini; both name this file
+        assert [w.filename for w in record] == [__file__, __file__]
 
     def test_quoted_names_with_commas(self, table1):
         names = {r.name for r in table1}

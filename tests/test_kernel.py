@@ -1,0 +1,189 @@
+"""The compiled exchange kernel against its reference, and backend selection.
+
+``_kernel.c`` is a transliteration of ``_exchange``; these tests hold it to
+the same bits on drawn runs, on the ``REPLAY_CASES`` of test_exchange and on
+the ``RUN_GOLDENS`` of test_golden, by handing ``run_simulation`` each
+backend in turn. They also pin how the backend is resolved: the C kernel
+whenever ``gcc`` is on PATH, else the Python reference with one warning and
+the same digests, and nothing built at import.
+"""
+
+import hashlib
+import json
+import os
+import shutil
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kinex import SimulationParams, run_simulation
+from kinex.cli import main
+from kinex.exchange import _CHUNK, _load_backend, _resolve_backend
+from test_exchange import REPLAY_CASES, replay_one_step_at_a_time
+from test_golden import RUN_GOLDENS, SWEEP_CONFIG, SWEEP_CSV_SHA256
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+PYTHON = _load_backend("python")
+
+
+@pytest.fixture(scope="module")
+def c_backend():
+    """Skip when there is no gcc and no cached kernel; any other build failure fails."""
+    try:
+        return _load_backend("c")
+    except (OSError, RuntimeError):
+        if shutil.which("gcc") is None:
+            pytest.skip("no gcc on PATH to build the C exchange kernel")
+        raise
+
+
+@pytest.fixture(params=["c", "python"])
+def backend(request):
+    return request.getfixturevalue("c_backend") if request.param == "c" else PYTHON
+
+
+def run_with(backend, params: SimulationParams):
+    with mock.patch("kinex.exchange._resolve_backend", lambda: backend):
+        return run_simulation(params)
+
+
+def bits(result) -> tuple:
+    return ({t: a.tobytes() for t, a in result.snapshots.items()},
+            float.hex(result.cumulative_pool))
+
+
+rate_st = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+
+
+@st.composite
+def run_params(draw):
+    t_max = draw(st.integers(min_value=1, max_value=3 * _CHUNK + 5))
+    times = draw(st.sets(st.integers(min_value=0, max_value=t_max), max_size=5))
+    return SimulationParams(
+        n_agents=draw(st.integers(min_value=2, max_value=40)),
+        saving_rate=draw(rate_st), surplus_rate=draw(rate_st),
+        initial_asset=draw(st.floats(min_value=1e-3, max_value=1e3)),
+        t_max=t_max, seed=draw(st.integers(min_value=0, max_value=2**64 - 1)),
+        snapshot_times=tuple(sorted(times | draw(st.sampled_from([set(), {0}])))))
+
+
+class TestParity:
+    @settings(max_examples=60, deadline=None)
+    @given(params=run_params())
+    def test_drawn_runs_are_bit_identical(self, c_backend, params):
+        assert bits(run_with(c_backend, params)) == bits(run_with(PYTHON, params))
+
+    def test_numpy_float32_rates_run_in_doubles(self, c_backend):
+        # in Python, 1.0 - np.float32(0.3) is a float32: the params convert it first
+        p = SimulationParams(n_agents=20, saving_rate=np.float32(0.3),
+                             surplus_rate=np.float32(0.6), initial_asset=np.float32(1.5),
+                             t_max=500, seed=2, snapshot_times=(500,))
+        doubles = SimulationParams(n_agents=20, saving_rate=float(np.float32(0.3)),
+                                   surplus_rate=float(np.float32(0.6)), initial_asset=1.5,
+                                   t_max=500, seed=2, snapshot_times=(500,))
+        python = run_with(PYTHON, p)
+        assert python.snapshots[500].dtype == np.float64
+        assert bits(python) == bits(run_with(c_backend, p)) == bits(run_with(PYTHON, doubles))
+
+    @pytest.mark.parametrize("n, lam, gam, t_max, snaps", REPLAY_CASES,
+                             ids=[f"n{c[0]}-lam{c[1]}-gam{c[2]}-T{c[3]}" for c in REPLAY_CASES])
+    def test_c_run_replays_through_exchange(self, c_backend, n, lam, gam, t_max, snaps):
+        p = SimulationParams(n_agents=n, saving_rate=lam, surplus_rate=gam,
+                             t_max=t_max, seed=11, snapshot_times=snaps)
+        snapshots, cumulative = replay_one_step_at_a_time(p)
+        assert bits(run_with(c_backend, p)) == ({t: a.tobytes() for t, a in snapshots.items()},
+                                          float.hex(cumulative))
+
+    @pytest.mark.parametrize("kwargs, snapshot_digests, pool_hex", RUN_GOLDENS,
+                             ids=[f"lam{k['saving_rate']}-gam{k['surplus_rate']}-T{k['t_max']}"
+                                  for k, _, _ in RUN_GOLDENS])
+    def test_golden_runs(self, backend, kwargs, snapshot_digests, pool_hex):
+        result = run_with(backend, SimulationParams(snapshot_times=tuple(snapshot_digests),
+                                                    **kwargs))
+        assert {t: hashlib.sha256(a.tobytes()).hexdigest()
+                for t, a in result.snapshots.items()} == snapshot_digests
+        assert float.hex(result.cumulative_pool) == pool_hex
+
+
+@pytest.fixture
+def fresh_resolution():
+    """Forget the resolved backend, so the test's environment decides; then again."""
+    _resolve_backend.cache_clear()
+    yield
+    _resolve_backend.cache_clear()
+
+
+@pytest.fixture
+def no_compiler(fresh_resolution, tmp_path, monkeypatch):
+    """No gcc on PATH and an empty kernel cache."""
+    (tmp_path / "bin").mkdir()
+    monkeypatch.setenv("PATH", str(tmp_path / "bin"))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    return tmp_path / "cache"
+
+
+class TestBackendSelection:
+    def test_gcc_on_path_gives_the_c_kernel(self):
+        # the backend this process runs everything else on, test_golden included
+        if shutil.which("gcc") is None:
+            pytest.skip("no gcc on PATH to build the C exchange kernel")
+        assert _resolve_backend().name == "c"
+
+    def test_no_compiler_falls_back_once_with_same_digests(self, no_compiler,
+                                                           tmp_path, monkeypatch):
+        monkeypatch.setenv("KINEX_THREADS", "1")
+        monkeypatch.chdir(tmp_path)
+        with pytest.warns(RuntimeWarning, match="no gcc on PATH"):
+            assert _resolve_backend().name == "python"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # it warned once, not per run
+            assert _resolve_backend().name == "python"
+        (tmp_path / "config.json").write_text(json.dumps(SWEEP_CONFIG))
+        with pytest.warns(UserWarning, match="tied"):  # the lambda=1 cells never move
+            assert main(["sweep", "--config", "config.json", "--out", "out"]) == 0
+        csv = (tmp_path / "out" / "sweep.csv").read_bytes()
+        assert hashlib.sha256(csv).hexdigest() == SWEEP_CSV_SHA256
+        kwargs, snapshot_digests, pool_hex = RUN_GOLDENS[1]
+        result = run_simulation(SimulationParams(snapshot_times=tuple(snapshot_digests),
+                                                 **kwargs))
+        assert {t: hashlib.sha256(a.tobytes()).hexdigest()
+                for t, a in result.snapshots.items()} == snapshot_digests
+        assert float.hex(result.cumulative_pool) == pool_hex
+        assert not no_compiler.exists()
+
+    def test_unwritable_cache_falls_back(self, c_backend, fresh_resolution,
+                                         tmp_path, monkeypatch):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        with pytest.warns(RuntimeWarning, match="C exchange kernel is unavailable"):
+            assert _resolve_backend().name == "python"
+
+    def test_build_leaves_one_library_in_the_cache(self, c_backend, fresh_resolution,
+                                                   tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        assert _resolve_backend().name == "c"
+        (library,) = (tmp_path / "kinex").iterdir()  # no temporary file is left behind
+        assert library.suffix == ".so"
+
+    def test_relative_cache_home_is_ignored(self, c_backend, fresh_resolution,
+                                            tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("XDG_CACHE_HOME", "relative")
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        assert _resolve_backend().name == "c"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["home"]
+        assert len(list((tmp_path / "home" / ".cache" / "kinex").iterdir())) == 1
+
+    def test_import_builds_nothing(self, tmp_path):
+        env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path),
+                   PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-c", "import kinex.cli"], env=env, check=True)
+        assert list(tmp_path.iterdir()) == []
