@@ -385,8 +385,9 @@ def main(argv=None) -> int:
     except (ConfigError, ParseError) as exc:
         print(f"kinex: {exc}", file=sys.stderr)
         return 2
-    except (KinexError, ValueError, OSError) as exc:
-        print(f"kinex: {exc}", file=sys.stderr)
+    except (KinexError, ValueError, OSError, MemoryError, RuntimeError) as exc:
+        # a failed run or sweep cell; a bare MemoryError has no text
+        print(f"kinex: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -16,10 +16,10 @@ by PCG64, seeded with the run seed. :func:`_draw_block` alone draws, in
 fixed blocks of ``_BLOCK`` steps (pair indices i, then offsets j, then
 epsilons), so a given (seed, t_max) always sees the same stream regardless
 of snapshot schedule. ``_BLOCK`` and that draw order are part of the
-reproducibility contract; ``_CHUNK``, the number of steps the loop takes
-from a block at a time, is not. :func:`_exchange` is the one definition of
-the rule and its float operations: the reference any faster kernel must
-match bit for bit. Seed 0 is legal.
+reproducibility contract; where a block is split, at snapshot times and
+in ``_CHUNK``-step pieces in :func:`_exchange`, is not. :func:`_exchange`
+is the one definition of the rule and its float operations: the reference
+any faster kernel must match bit for bit. Seed 0 is legal.
 
 Backends: ``_kernel.c`` is a line-for-line C transliteration of
 :func:`_exchange`, which :func:`_load_kernel` builds with the system ``gcc``
@@ -49,9 +49,9 @@ import numpy as np
 # changing it changes golden outputs.
 _BLOCK = 1 << 17
 
-# Steps of a block passed to the loop body at a time, which bounds the
-# memory the Python backend holds in list copies of the draws. Not part of
-# the contract: any value gives the same outputs.
+# Steps that _exchange copies from the draws into lists at a time, which
+# bounds the memory of those copies; the C kernel takes each segment whole.
+# Not part of the contract: any value gives the same outputs.
 _CHUNK = 4096
 
 _KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
@@ -156,20 +156,23 @@ def _exchange(assets: list, ii: np.ndarray, jj: np.ndarray, ee: np.ndarray,
     gam = surplus_rate
     oml = 1.0 - lam
     keep = oml * (1.0 - gam)  # the richer side's withheld share of the gap
-    for i, j, eps, fps in zip(ii.tolist(), jj.tolist(), ee.tolist(), (1.0 - ee).tolist()):
-        mi = assets[i]
-        mj = assets[j]
-        if mi <= mj:
-            gap = mj - mi
-            pool = oml * (2.0 * mi + gam * gap)
-            assets[i] = lam * mi + eps * pool
-            assets[j] = lam * mj + keep * gap + fps * pool
-        else:
-            gap = mi - mj
-            pool = oml * (2.0 * mj + gam * gap)
-            assets[i] = lam * mi + keep * gap + eps * pool
-            assets[j] = lam * mj + fps * pool
-        cumulative += pool
+    for lo in range(0, len(ii), _CHUNK):
+        chunk = slice(lo, lo + _CHUNK)
+        for i, j, eps, fps in zip(ii[chunk].tolist(), jj[chunk].tolist(),
+                                  ee[chunk].tolist(), (1.0 - ee[chunk]).tolist()):
+            mi = assets[i]
+            mj = assets[j]
+            if mi <= mj:
+                gap = mj - mi
+                pool = oml * (2.0 * mi + gam * gap)
+                assets[i] = lam * mi + eps * pool
+                assets[j] = lam * mj + keep * gap + fps * pool
+            else:
+                gap = mi - mj
+                pool = oml * (2.0 * mj + gam * gap)
+                assets[i] = lam * mi + keep * gap + eps * pool
+                assets[j] = lam * mj + fps * pool
+            cumulative += pool
     return cumulative
 
 
@@ -283,11 +286,10 @@ def run_simulation(params: SimulationParams) -> RunResult:
         start = t
         end = t + block
         while t < end:
-            # steps t+1 .. stop, never past the next snapshot (an empty chunk for time 0)
-            stop = min(t + _CHUNK, end, next_snap)
-            lo = t - start
-            hi = stop - start
-            cumulative = backend.exchange(assets, ii[lo:hi], jj[lo:hi], ee[lo:hi],
+            # steps t+1 .. stop, up to the next snapshot (an empty segment for time 0)
+            stop = min(end, next_snap)
+            seg = slice(t - start, stop - start)
+            cumulative = backend.exchange(assets, ii[seg], jj[seg], ee[seg],
                                           params.saving_rate, params.surplus_rate,
                                           cumulative)
             t = stop

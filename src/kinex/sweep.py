@@ -7,12 +7,13 @@ replicate is scored by :func:`run_indexes`: the Gini index of the t2
 snapshot, the flow from the accumulated pool over t_max, and the rank
 correlation between the t1 and t2 snapshots.
 
-Cells and replicates are embarrassingly parallel: with more than one
-worker they are dispatched to a process pool, and the aggregation always
-reduces results in (lambda-index, gamma-index, replicate-index) order, so
-output tables are bit-identical regardless of scheduling. The
-KINEX_THREADS environment variable sets the worker count when the caller
-passes none; the count never exceeds ``os.cpu_count()``.
+Cells and replicates are embarrassingly parallel: each replicate is one
+job on a thread pool, and the aggregation always reduces results in
+(lambda-index, gamma-index, replicate-index) order, so output tables are
+bit-identical regardless of scheduling. The C exchange kernel runs without
+the GIL, so threads run it in parallel; the Python fallback gets no speed-up
+from them. KINEX_THREADS sets the worker count when the caller passes
+none; the count never exceeds ``os.cpu_count()``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import hashlib
 import json
 import os
 import struct
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -178,46 +179,40 @@ def _resolve_workers(workers: int | None) -> int:
     return max(1, min(int(workers), cores))
 
 
-def _replicate_metrics(spec: SweepSpec, li: int, gi: int, r: int) -> tuple[float, float, float]:
-    lam = spec.lambda_values[li]
-    gam = spec.gamma_values[gi]
-    try:
-        params = SimulationParams(
-            n_agents=spec.n_agents, saving_rate=lam, surplus_rate=gam,
-            t_max=spec.t_max, seed=replicate_seed(spec.base_seed, li, gi, r),
-            snapshot_times=(spec.t1, spec.t2),
-        )
-        return run_indexes(run_simulation(params), spec.t1, spec.t2)
-    except Exception as exc:
-        raise RuntimeError(
-            f"sweep cell lambda={lam} gamma={gam} replicate={r} failed: {exc}"
-        ) from exc
-
-
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SweepCell]:
     """Evaluate the full grid; rows ordered lambda-major, then gamma.
 
     ``workers`` overrides the KINEX_THREADS / cpu_count default; either is
     capped at ``os.cpu_count()``. Results are identical for any worker count.
     """
-    jobs = [(spec, li, gi, r) for li in range(len(spec.lambda_values))
+    jobs = [(li, gi, r, replicate_seed(spec.base_seed, li, gi, r))
+            for li in range(len(spec.lambda_values))
             for gi in range(len(spec.gamma_values)) for r in range(spec.replicates)]
-    seeds = {replicate_seed(spec.base_seed, li, gi, r) for _, li, gi, r in jobs}
-    if len(seeds) != len(jobs):
+    if len({seed for *_, seed in jobs}) != len(jobs):
         raise RuntimeError("replicate seed collision; choose a different base_seed")
 
-    n_workers = min(_resolve_workers(workers), len(jobs))
-    _resolve_backend()  # once here, so forked workers inherit a loaded kernel
-    if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            chunk = max(1, len(jobs) // (4 * n_workers))
-            outcomes = list(pool.map(_replicate_metrics, *zip(*jobs), chunksize=chunk))
-    else:
-        outcomes = [_replicate_metrics(*job) for job in jobs]
+    def replicate_metrics(li: int, gi: int, r: int, seed: int) -> tuple[float, float, float]:
+        lam = spec.lambda_values[li]
+        gam = spec.gamma_values[gi]
+        try:
+            params = SimulationParams(
+                n_agents=spec.n_agents, saving_rate=lam, surplus_rate=gam,
+                t_max=spec.t_max, seed=seed, snapshot_times=(spec.t1, spec.t2),
+            )
+            return run_indexes(run_simulation(params), spec.t1, spec.t2)
+        except Exception as exc:
+            raise RuntimeError(f"sweep cell lambda={lam} gamma={gam} replicate={r} "
+                               f"failed: {str(exc) or type(exc).__name__}") from exc
+
+    # once here: concurrent first calls would race to build the kernel and could warn twice
+    _resolve_backend()
+    with ThreadPoolExecutor(max_workers=min(_resolve_workers(workers), len(jobs))) as pool:
+        # a failed job ends the map, which cancels the jobs not yet started
+        outcomes = list(pool.map(replicate_metrics, *zip(*jobs)))
 
     cells = []
     for pos in range(0, len(jobs), spec.replicates):
-        _, li, gi, _ = jobs[pos]
+        li, gi, _, _ = jobs[pos]
         gs, fs, taus = (np.array(v) for v in zip(*outcomes[pos:pos + spec.replicates]))
         cells.append(SweepCell(
             saving_rate=spec.lambda_values[li], surplus_rate=spec.gamma_values[gi],

@@ -247,6 +247,20 @@ class TestSweepAndFit:
         assert len(cells) == 4
 
 
+@pytest.mark.parametrize("command, config, module", [("simulate", SMALL_SIM, "kinex.cli"),
+                                                     ("sweep", SMALL_SWEEP, "kinex.sweep")])
+def test_failed_run_exits_one_without_traceback(tmp_path, monkeypatch, capsys,
+                                                command, config, module):
+    def out_of_memory(params):
+        raise MemoryError()  # as a run too large to allocate raises it, with no text
+
+    monkeypatch.setattr(f"{module}.run_simulation", out_of_memory)
+    cfg = write_config(tmp_path, config)
+    assert run_cli([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("kinex: ") and line.endswith("MemoryError")
+
+
 class TestEmpirical:
     def test_shipped_table_and_percentile_defaults(self, tmp_path, table1_path):
         out = tmp_path / "emp"

@@ -159,7 +159,7 @@ def replay_one_step_at_a_time(params: SimulationParams) -> tuple[dict, float]:
     """Reference run: the same draw blocks, one ``_exchange`` call per tick.
 
     It checks every step against the snapshot times itself, so it shares
-    none of run_simulation's chunk and snapshot segmentation.
+    none of the chunk and snapshot segmentation of a run.
     """
     lam, gam = params.saving_rate, params.surplus_rate
     rng = np.random.default_rng(params.seed)
@@ -226,7 +226,7 @@ class TestRunSimulation:
     @pytest.mark.parametrize("n, lam, gam, t_max, snaps", REPLAY_CASES,
                              ids=[f"n{c[0]}-lam{c[1]}-gam{c[2]}-T{c[3]}" for c in REPLAY_CASES])
     def test_run_loop_replays_through_exchange_step(self, n, lam, gam, t_max, snaps):
-        # chunking the blocks and cutting chunks at snapshots must not change a bit
+        # cutting blocks at snapshots and into chunks must not change a bit
         p = SimulationParams(n_agents=n, saving_rate=lam, surplus_rate=gam,
                              t_max=t_max, seed=11, snapshot_times=snaps)
         result = run_simulation(p)

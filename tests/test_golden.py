@@ -65,10 +65,11 @@ def test_run_reproduces_pinned_digests(kwargs, snapshot_digests, pool_hex):
 
 
 def test_sweep_table_reproduces_pinned_digest(tmp_path, monkeypatch):
-    monkeypatch.setenv("KINEX_THREADS", "1")
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(SWEEP_CONFIG))
-    out = tmp_path / "out"
-    with pytest.warns(UserWarning, match="tied"):  # the lambda=1 cells never move
-        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-    assert hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest() == SWEEP_CSV_SHA256
+    for threads in ("1", "2"):
+        monkeypatch.setenv("KINEX_THREADS", threads)
+        out = tmp_path / threads
+        with pytest.warns(UserWarning, match="tied"):  # the lambda=1 cells never move
+            assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest() == SWEEP_CSV_SHA256

@@ -138,7 +138,6 @@ class TestBackendSelection:
 
     def test_no_compiler_falls_back_once_with_same_digests(self, no_compiler,
                                                            tmp_path, monkeypatch):
-        monkeypatch.setenv("KINEX_THREADS", "1")
         monkeypatch.chdir(tmp_path)
         with pytest.warns(RuntimeWarning, match="no gcc on PATH"):
             assert _resolve_backend().name == "python"
@@ -146,10 +145,12 @@ class TestBackendSelection:
             warnings.simplefilter("error", RuntimeWarning)  # it warned once, not per run
             assert _resolve_backend().name == "python"
         (tmp_path / "config.json").write_text(json.dumps(SWEEP_CONFIG))
-        with pytest.warns(UserWarning, match="tied"):  # the lambda=1 cells never move
-            assert main(["sweep", "--config", "config.json", "--out", "out"]) == 0
-        csv = (tmp_path / "out" / "sweep.csv").read_bytes()
-        assert hashlib.sha256(csv).hexdigest() == SWEEP_CSV_SHA256
+        for threads in ("1", "2"):
+            monkeypatch.setenv("KINEX_THREADS", threads)
+            with pytest.warns(UserWarning, match="tied"):  # the lambda=1 cells never move
+                assert main(["sweep", "--config", "config.json", "--out", threads]) == 0
+            csv = (tmp_path / threads / "sweep.csv").read_bytes()
+            assert hashlib.sha256(csv).hexdigest() == SWEEP_CSV_SHA256
         kwargs, snapshot_digests, pool_hex = RUN_GOLDENS[1]
         result = run_simulation(SimulationParams(snapshot_times=tuple(snapshot_digests),
                                                  **kwargs))

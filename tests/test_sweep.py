@@ -1,4 +1,5 @@
 import os
+import time
 import warnings
 
 import pytest
@@ -49,7 +50,7 @@ class TestSweepSpec:
 
 
 class TestResolveWorkers:
-    # resolves the count only; no process is started
+    # resolves the count only; no thread is started
     @pytest.fixture(autouse=True)
     def three_cores(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
@@ -123,12 +124,21 @@ class TestRunSweep:
         assert run_sweep(small_spec(), workers=1) == run_sweep(small_spec(), workers=2)
 
     def test_failures_carry_cell_coordinates(self, monkeypatch):
+        started = []
+
         def fail(params):
+            started.append(params.seed)
+            time.sleep(0.01)
             raise FloatingPointError("boom")
 
         monkeypatch.setattr(kinex.sweep, "run_simulation", fail)
-        with pytest.raises(RuntimeError, match="lambda=0.2 gamma=0.5 replicate=0 failed: boom"):
-            run_sweep(small_spec(), workers=1)
+        spec = small_spec(replicates=10)  # 40 jobs
+        for workers in (1, 2):
+            started.clear()
+            with pytest.raises(RuntimeError,
+                               match="lambda=0.2 gamma=0.5 replicate=0 failed: boom"):
+                run_sweep(spec, workers=workers)
+            assert len(started) < 40  # the first failure cancels the jobs not yet started
 
 
 def gini_series(params):
