@@ -8,7 +8,8 @@ subcommand. Each subcommand then checks its own section and reads its
 inputs, and only then writes the fully-resolved configuration into its
 output directory, so a usage or config failure writes no file. All emitted
 tables are plot-ready data (CSV by default, JSON via the output format
-selector); no images are rendered.
+selector); no images are rendered. This module owns the table format:
+``_write_table`` writes every table and ``read_sweep_table`` reads sweeps back.
 
 Exit codes: 0 success, 1 runtime/numeric failure, 2 usage/config failure.
 Same config + same seed always produce byte-identical output files,
@@ -21,7 +22,9 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 from .empirical import (classify_groups, derive, fit_groups, load_countries,
@@ -30,10 +33,8 @@ from .errors import ConfigError, DegenerateDataError, KinexError, ParseError
 from .exchange import SimulationParams, _is_integer, run_simulation
 from .fitting import fit_linear, flow_gini_ratio_points, tau_vs_flow_points
 from .metrics import gamma_fit, gini, histogram
-from .sweep import (SWEEP_COLUMNS, SweepSpec, _resolve_workers, read_sweep_table,
-                    resolve_times, run_indexes, run_sweep)
-
-SCHEMA_COMMENT = "# kinex-schema v1"
+from .sweep import (SweepCell, SweepSpec, _resolve_workers, resolve_times, run_indexes,
+                    run_sweep)
 
 
 def _field_defaults(cls) -> dict:
@@ -95,18 +96,24 @@ def load_config(path: str | None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# table writers
+# the table format: one writer for every table, one reader for the sweep table
+
+SCHEMA_COMMENT = "# kinex-schema v1"
+
+# sweep table columns in file order -> the SweepCell field each one holds
+SWEEP_COLUMNS = {"lambda": "saving_rate", "gamma": "surplus_rate",
+                 "mean_g": "mean_g", "std_g": "std_g", "mean_f": "mean_f",
+                 "std_f": "std_f", "mean_tau": "mean_tau", "std_tau": "std_tau",
+                 "replicates": "replicates"}
+# columns a table may leave out or empty, with the value they then read as
+_OPTIONAL_COLUMNS = {"std_g": 0.0, "std_f": 0.0, "std_tau": 0.0, "replicates": 1}
 
 
-def _cell(value) -> str | int | float:
-    return "" if value is None else value
-
-
-def _write_table(out_dir: Path, stem: str, columns: list[str], rows: list[list],
+def _write_table(out_dir: Path, stem: str, columns: list[str], rows: Iterable[Sequence],
                  fmt: str) -> Path:
+    # rows hold plain Python values; "" is an empty cell in either format
     if fmt == "json":
-        doc = {"schema": SCHEMA_COMMENT.lstrip("# "), "columns": columns,
-               "rows": [[_cell(v) for v in row] for row in rows]}
+        doc = {"schema": SCHEMA_COMMENT.lstrip("# "), "columns": columns, "rows": list(rows)}
         return _write_json(out_dir, f"{stem}.json", doc)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{stem}.csv"
@@ -114,8 +121,7 @@ def _write_table(out_dir: Path, stem: str, columns: list[str], rows: list[list],
         fh.write(SCHEMA_COMMENT + "\n")
         writer = csv.writer(fh)
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        writer.writerows(rows)
     return path
 
 
@@ -124,6 +130,51 @@ def _write_json(out_dir: Path, name: str, payload: dict) -> Path:
     path = out_dir / name
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     return path
+
+
+def read_sweep_table(path: str | Path) -> list[SweepCell]:
+    """Read a sweep table previously written by ``kinex sweep``.
+
+    A JSON cell is read from its text, as a CSV cell is, and ``null`` reads
+    as an empty cell. A ParseError gives a CSV row's file line, or a JSON
+    row's position counting the column list as 1.
+    """
+    path = Path(path)
+    if path.suffix == ".json":
+        try:
+            doc = json.loads(path.read_text(encoding="utf-8-sig"))
+            lines = list(enumerate([list(doc["columns"]), *doc["rows"]], start=1))
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise ParseError(f"not a JSON sweep table: {exc!r}", 1) from None
+    else:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            lines = [(reader.line_num, row) for row in reader
+                     if row and not row[0].startswith("#")]
+    (header_line, header), *rows = lines or [(1, [])]
+    if any(column in header[:k] for k, column in enumerate(header)):
+        raise ParseError(f"repeated column name in {header}", header_line)
+    missing = [c for c in SWEEP_COLUMNS if c not in header and c not in _OPTIONAL_COLUMNS]
+    if missing:
+        raise ParseError(f"missing required column(s): {', '.join(missing)}", header_line)
+    cells = []
+    for line_number, row in rows:
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"expected {len(header)} cells, got {len(row)}")
+            row = dict(zip(header, row))
+            values = {}
+            for column, field in SWEEP_COLUMNS.items():
+                text = "" if row.get(column) is None else str(row[column])
+                value = (_OPTIONAL_COLUMNS[column] if not text and column in _OPTIONAL_COLUMNS
+                         else int(text) if field == "replicates" else float(text))
+                if not math.isfinite(value) or field == "replicates" and value < 1:
+                    raise ValueError(f"column {column!r}: {text!r} is out of range")
+                values[field] = value
+            cells.append(SweepCell(**values))
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"bad sweep table row: {exc}", line_number) from exc
+    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -164,20 +215,18 @@ def cmd_simulate(args, config: dict, out_dir: Path, fmt: str) -> int:
     gamma_rows = []
     for t in snapshot_times:
         assets = result.snapshots[t]
-        _write_table(snap_dir, str(t), ["agent", "asset"],
-                     [[idx, float(v)] for idx, v in enumerate(assets)], fmt)
+        _write_table(snap_dir, str(t), ["agent", "asset"], enumerate(assets.tolist()), fmt)
         hist = histogram(assets, bins=bins)
-        _write_table(out_dir, f"histogram_{t}",
-                     ["bin_lo", "bin_hi", "count"],
-                     [[float(lo), float(hi), int(c)] for lo, hi, c in
-                      zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts)], fmt)
+        _write_table(out_dir, f"histogram_{t}", ["bin_lo", "bin_hi", "count"],
+                     zip(hist.bin_edges[:-1].tolist(), hist.bin_edges[1:].tolist(),
+                         hist.counts.tolist()), fmt)
         gini_rows.append([t, gini(assets)])
         positive = assets[assets > 0.0]
         try:
             fit = gamma_fit(positive)
             gamma_rows.append([t, int(positive.size), fit.shape, fit.scale])
         except (ValueError, DegenerateDataError):
-            gamma_rows.append([t, int(positive.size), None, None])
+            gamma_rows.append([t, int(positive.size), "", ""])
     _write_table(out_dir, "gini_series", ["t", "gini"], gini_rows, fmt)
     _write_table(out_dir, "gamma_fits", ["t", "n_positive", "shape", "scale"],
                  gamma_rows, fmt)

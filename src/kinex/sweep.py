@@ -9,7 +9,7 @@ correlation between the t1 and t2 snapshots.
 
 Cells and replicates are embarrassingly parallel: each replicate is one
 job on a thread pool, and the aggregation always reduces results in
-(lambda-index, gamma-index, replicate-index) order, so output tables are
+(lambda-index, gamma-index, replicate-index) order, so the cells are
 bit-identical regardless of scheduling. The C exchange kernel runs without
 the GIL, so threads run it in parallel; the Python fallback gets no speed-up
 from them. KINEX_THREADS sets the worker count when the caller passes
@@ -18,18 +18,15 @@ none; the count never exceeds ``os.cpu_count()``.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import json
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError
 from .exchange import (RunResult, SimulationParams, _is_integer, _resolve_backend,
                        run_simulation)
 from .metrics import gini, kendall_tau, total_exchange
@@ -109,53 +106,6 @@ class SweepCell:
     std_f: float
     std_tau: float
     replicates: int
-
-
-# sweep table columns in file order -> the SweepCell field each one holds
-SWEEP_COLUMNS = {"lambda": "saving_rate", "gamma": "surplus_rate",
-                 "mean_g": "mean_g", "std_g": "std_g", "mean_f": "mean_f",
-                 "std_f": "std_f", "mean_tau": "mean_tau", "std_tau": "std_tau",
-                 "replicates": "replicates"}
-# columns a table may leave out or empty, with the value they then read as
-_OPTIONAL_COLUMNS = {"std_g": 0.0, "std_f": 0.0, "std_tau": 0.0, "replicates": 1}
-
-
-def read_sweep_table(path: str | Path) -> list[SweepCell]:
-    """Read a sweep table previously written by ``kinex sweep``.
-
-    A ParseError gives a CSV row's file line, or a JSON row's position
-    counting the column list as 1.
-    """
-    path = Path(path)
-    if path.suffix == ".json":
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8-sig"))
-            lines = list(enumerate([list(doc["columns"]), *doc["rows"]], start=1))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise ParseError(f"not a JSON sweep table: {exc!r}", 1) from None
-    else:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            lines = [(reader.line_num, row) for row in reader
-                     if row and not row[0].startswith("#")]
-    (header_line, header), *rows = lines or [(1, [])]
-    if any(column in header[:k] for k, column in enumerate(header)):
-        raise ParseError(f"repeated column name in {header}", header_line)
-    cells = []
-    for line_number, row in rows:
-        try:
-            if len(row) != len(header):
-                raise ValueError(f"expected {len(header)} cells, got {len(row)}")
-            row = dict(zip(header, row))
-            values = {}
-            for column, field in SWEEP_COLUMNS.items():
-                value = (row.get(column) or _OPTIONAL_COLUMNS[column]
-                         if column in _OPTIONAL_COLUMNS else row[column])
-                values[field] = int(value) if field == "replicates" else float(value)
-            cells.append(SweepCell(**values))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad sweep table row: {exc}", line_number) from exc
-    return cells
 
 
 def replicate_seed(base_seed: int, lambda_index: int, gamma_index: int,

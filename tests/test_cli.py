@@ -372,13 +372,33 @@ class TestConfigHandling:
         "xml.json": json.dumps({"output": {"format": "xml"}}),
         "empty.json": "{}",
         "not_json.json": "{not json",
-        "scalar_row.json": json.dumps({"columns": ["lambda"], "rows": [5]}),
+        "scalar_row.json": json.dumps({"columns": ["lambda", "gamma", "mean_g", "mean_f",
+                                                   "mean_tau"], "rows": [5]}),
         "latin1_config.json": '{"output": {"dir": "r\xe9sultats"}}'.encode("latin-1"),
         "latin1_data.csv": "country,f,g,lambda,gamma\n"
                            "C\xf4te d'Ivoire,1,0.3,0.2,0.2\n".encode("latin-1"),
         "latin1_table.csv": "# \xe9t\xe9\nlambda,gamma,mean_g,mean_f,mean_tau\n"
                             "0.2,0.5,0.5,0.4,0.1\n".encode("latin-1"),
+        "empty.csv": "",
+        "no_columns.csv": "foo,bar\n",
+        "no_mean_tau.csv": "lambda,gamma,mean_g,mean_f\n",
+        "nan_f.csv": "lambda,gamma,mean_g,mean_f,mean_tau\n0.2,0.5,0.5,nan,0.1\n",
+        "nan_tau.csv": "lambda,gamma,mean_g,mean_f,mean_tau\n0.2,0.5,0.5,0.4,nan\n",
+        "inf_g.csv": "lambda,gamma,mean_g,mean_f,mean_tau\n"
+                     "0.2,0.5,inf,0.4,0.1\n0.4,0.5,0.4,0.3,0.2\n0.6,0.5,0.3,0.2,0.3\n",
+        **{f"replicates_{name}.json": json.dumps({
+            "columns": ["lambda", "gamma", "mean_g", "mean_f", "mean_tau", "replicates"],
+            "rows": [[0.2, 0.5, 0.5, 0.4, 0.1, 2], [0.4, 0.5, 0.4, 0.3, 0.2, value]]})
+           for name, value in (("fraction", 2.7), ("negative", -3), ("true", True))},
+        "true_g.json": json.dumps({"columns": ["lambda", "gamma", "mean_g", "mean_f", "mean_tau"],
+                                   "rows": [[0.2, 0.5, True, 0.4, 0.1],
+                                            [0.4, 0.5, 0.4, 0.3, 0.2]]}),
     }
+    # bad sweep tables -> the line reported: the header's, or the bad row's
+    TABLE_ERROR_LINES = {"empty.csv": 1, "no_columns.csv": 1, "no_mean_tau.csv": 1,
+                         "nan_f.csv": 2, "nan_tau.csv": 2, "inf_g.csv": 2,
+                         "replicates_fraction.json": 3, "replicates_negative.json": 3,
+                         "replicates_true.json": 3, "true_g.json": 2}
     BAD_INPUTS = [
         (["empirical", "--thresholds", "650,450"], {}),
         (["fit", "--table", "missing.csv"], {}),
@@ -391,6 +411,7 @@ class TestConfigHandling:
         (["simulate", "--config", "latin1_config.json"], {}),
         (["empirical", "--data", "latin1_data.csv"], {}),
         (["fit", "--table", "latin1_table.csv"], {}),
+        *((["fit", "--table", name], {}) for name in TABLE_ERROR_LINES),
     ]
 
     @pytest.mark.parametrize("argv, env", BAD_INPUTS,
@@ -409,6 +430,15 @@ class TestConfigHandling:
         assert run_cli(argv) == 2
         assert "Traceback" not in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(self.INPUTS)
+
+    @pytest.mark.parametrize("name, line", TABLE_ERROR_LINES.items())
+    def test_bad_sweep_table_reports_its_line(self, tmp_path, capsys, name, line):
+        (tmp_path / name).write_text(self.INPUTS[name])
+        assert run_cli(["fit", "--table", str(tmp_path / name),
+                        "--out", str(tmp_path / "out")]) == 2
+        [message] = capsys.readouterr().err.splitlines()
+        assert message.startswith(f"kinex: line {line}: ")
+        assert not (tmp_path / "out").exists()
 
     def test_config_with_byte_order_mark(self, tmp_path):
         path = tmp_path / "config.json"

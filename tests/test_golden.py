@@ -4,12 +4,15 @@ The other determinism tests compare one run with another, so they would
 still pass if the PCG64 draw blocks, the draw order or the order of the
 float operations changed. These tests pin the bytes themselves: the
 SHA-256 of snapshot arrays, ``float.hex`` of the accumulated pool and the
-SHA-256 of a small ``kinex sweep`` table. A change that makes any of them
-fail changes every published output, and is a change of the contract.
+SHA-256 of a small ``kinex sweep`` table and of whole ``kinex simulate``
+output trees. A change that makes any of them fail changes every published
+output, and is a change of the contract.
 """
 
 import hashlib
 import json
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +49,16 @@ SWEEP_CONFIG = {
 }
 SWEEP_CSV_SHA256 = "be5aa62c22af91061a84a67fb8413c87d2df07c1bc7c244676f3d26fd3334fea"
 
+# (output format, simulate.saving_rate) -> sha256 over the whole output tree of a
+# small `kinex simulate`; at saving_rate 1.0 no agent moves, so every moment fit
+# is undefined and the gamma_fits shape/scale cells are empty
+SIMULATE_TREE_SHA256 = {
+    ("csv", 0.25): "2d4a2c1f6b72b48ef6e3431be12b5bfd34612aaa1169b7fdecd22e27e78695eb",
+    ("json", 0.25): "4d0c39bf2d1e4d97fea581d7297c7f290b80b35fbbc0815e28eb0620b0bb3223",
+    ("csv", 1.0): "9621f89a058e3e20ed93f0da7e4c51ce2378abd997462ff202b6cc6e616e95c2",
+    ("json", 1.0): "7d041f2d14dbfaaecc12cced0ec1ec630a56141365cc046ec9c8fdec96127739",
+}
+
 
 def test_block_size_is_pinned():
     # the goldens below assume draws in blocks of 2**17 steps
@@ -73,3 +86,27 @@ def test_sweep_table_reproduces_pinned_digest(tmp_path, monkeypatch):
         with pytest.warns(UserWarning, match="tied"):  # the lambda=1 cells never move
             assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
         assert hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest() == SWEEP_CSV_SHA256
+
+
+def _tree_sha256(root: Path) -> str:
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*")):
+        if path.is_file():
+            digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+            digest.update(hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("fmt, saving_rate", list(SIMULATE_TREE_SHA256),
+                         ids=[f"{fmt}-lam{lam}" for fmt, lam in SIMULATE_TREE_SHA256])
+def test_simulate_tree_reproduces_pinned_digest(tmp_path, monkeypatch, fmt, saving_rate):
+    # a relative --out keeps the output dir echoed in resolved_config.json fixed
+    monkeypatch.chdir(tmp_path)
+    Path("config.json").write_text(json.dumps({
+        "simulate": {"n_agents": 50, "t_max": 2000, "saving_rate": saving_rate, "seed": 3},
+        "output": {"format": fmt},
+    }))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # lambda=1 ties every rank
+        assert main(["simulate", "--config", "config.json", "--out", "out"]) == 0
+    assert _tree_sha256(tmp_path / "out") == SIMULATE_TREE_SHA256[fmt, saving_rate]
