@@ -12,22 +12,29 @@ slowly condenses all wealth into one agent); gamma = 1 recovers the rule
 where both sides stake their full surplus.
 
 Determinism: all randomness comes from ``numpy.random.Generator`` backed
-by PCG64, seeded with the run seed. :func:`_draw_block` alone draws, in
+by PCG64, seeded with the run seed. :func:`_draw_block` defines the stream:
 fixed blocks of ``_BLOCK`` steps (pair indices i, then offsets j, then
 epsilons), so a given (seed, t_max) always sees the same stream regardless
 of snapshot schedule. ``_BLOCK`` and that draw order are part of the
 reproducibility contract; where a block is split, at snapshot times and
 in ``_CHUNK``-step pieces in :func:`_exchange`, is not. :func:`_exchange`
-is the one definition of the rule and its float operations: the reference
-any faster kernel must match bit for bit. Seed 0 is legal.
+is the one definition of the rule and its float operations. Both are the
+references any faster kernel must match bit for bit. Seed 0 is legal.
 
-Backends: ``_kernel.c`` is a line-for-line C transliteration of
-:func:`_exchange`, which :func:`_load_kernel` builds with the system ``gcc``
-into a per-user cache. Runs take it when it is cached or can be built, and
-:func:`_exchange` itself otherwise, with one warning. Only the loop body
-and the asset container (a list, or a float64 array for C) depend on the
-backend, and the results are bit-identical. The backend is resolved once
-per process on first use, never at import.
+Backends: ``_kernel.c`` holds a line-for-line C transliteration of
+:func:`_exchange` and a C reproduction of :func:`_draw_block`'s numpy
+algorithms, which :func:`_load_kernel` builds with the system ``gcc`` into a
+per-user cache. The C draws must give :func:`_draw_block`'s values and
+generator state on a fixed probe each time the library is loaded. Runs take
+the C backend when it is cached or can be built and passes the probe, and
+the Python references otherwise, with one warning. Only the draws, the loop
+body and the asset container (a list, or a float64 array for C) depend on
+the backend, and the results are bit-identical. The backend is resolved
+once per process on first use, never at import.
+
+The C draws write into arrays the caller passes in. A sweep worker thread
+keeps one set of them for all its runs (:func:`_reuse_draw_buffers`); any
+other run allocates its own and frees them when it returns.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ import functools
 import math
 import numbers
 import os
+import threading
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -58,6 +66,7 @@ _KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
 # -ffp-contract=off forbids fused multiply-adds. -ffast-math and
 # -march=native must never be added: either one changes result bits.
 _CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -136,13 +145,49 @@ def _draw_block(rng: np.random.Generator, n: int,
                 size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw ``size`` steps in contract order: all i, then all j, then all eps.
 
-    j is drawn from the n - 1 agents other than i.
+    j is drawn from the n - 1 agents other than i. This defines the stream:
+    the C draws of ``_kernel.c`` reproduce these values and the generator
+    state they leave, and :func:`_check_draws` holds them to it on load.
     """
     ii = rng.integers(0, n, size=size)
     jj = rng.integers(0, n - 1, size=size)
     ee = rng.random(size)
     jj += jj >= ii
     return ii, jj, ee
+
+
+class _DrawBuffers:
+    """The i, j and eps arrays that the C draws write into.
+
+    Allocated on first use and reallocated only for a larger block, so the
+    runs that share one set allocate nothing after the first.
+    """
+
+    def __init__(self):
+        self._ii = self._jj = np.empty(0, np.int64)
+        self._ee = np.empty(0)
+
+    def take(self, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if len(self._ee) < size:
+            self._ii = np.empty(size, np.int64)
+            self._jj = np.empty(size, np.int64)
+            self._ee = np.empty(size)
+        return self._ii[:size], self._jj[:size], self._ee[:size]
+
+
+# The draw buffers of a thread that called _reuse_draw_buffers. Thread-local,
+# so no two runs share them; they are freed when the thread exits.
+_thread_draws = threading.local()
+
+
+def _reuse_draw_buffers() -> None:
+    """Make every later run on this thread draw into one set of buffers.
+
+    The sweep's worker threads call it as their pool initializer. Other
+    threads, the main thread included, allocate buffers per run, so none
+    outlive a run there.
+    """
+    _thread_draws.buffers = _DrawBuffers()
 
 
 def _exchange(assets: list, ii: np.ndarray, jj: np.ndarray, ee: np.ndarray,
@@ -176,11 +221,12 @@ def _exchange(assets: list, ii: np.ndarray, jj: np.ndarray, ee: np.ndarray,
     return cumulative
 
 
-def _load_kernel() -> Callable:
+def _load_kernel() -> tuple[Callable, Callable]:
     """Load ``_kernel.c``, building it into the cache first if it is not there.
 
-    Returns a function with the signature of :func:`_exchange` that takes
-    a float64 asset array. The cached library is keyed by the SHA-256 of
+    Returns its exchange, a function with the signature of :func:`_exchange`
+    that takes a float64 asset array, and its draws, with the signature of
+    a backend's ``draw``. The cached library is keyed by the SHA-256 of
     the source, the flags and the platform. It is compiled to a temporary
     file and renamed into place, so processes may build at the same time.
     Raises OSError when there is no ``gcc``, the build fails or the cache
@@ -215,9 +261,14 @@ def _load_kernel() -> Callable:
         except BaseException:
             os.unlink(tmp)
             raise
-    kernel = ctypes.CDLL(str(path)).kinex_exchange
+    library = ctypes.CDLL(str(path))
+    kernel = library.kinex_exchange
     kernel.restype = ctypes.c_double
     kernel.argtypes = (ctypes.c_void_p,) * 4 + (ctypes.c_int64,) + (ctypes.c_double,) * 3
+    draw_kernel = library.kinex_draw
+    draw_kernel.restype = None
+    draw_kernel.argtypes = ((ctypes.POINTER(ctypes.c_uint64),) + (ctypes.c_int64,) * 2
+                            + (ctypes.c_void_p,) * 3)
 
     def exchange(assets: np.ndarray, ii: np.ndarray, jj: np.ndarray, ee: np.ndarray,
                  saving_rate: float, surplus_rate: float, cumulative: float) -> float:
@@ -227,21 +278,63 @@ def _load_kernel() -> Callable:
         return kernel(assets.ctypes.data, ii.ctypes.data, jj.ctypes.data, ee.ctypes.data,
                       len(ii), saving_rate, surplus_rate, cumulative)
 
-    return exchange
+    def draw(rng: np.random.Generator, n: int, size: int,
+             buffers: _DrawBuffers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # _draw_block(rng, n, size) into the buffers; the generator state goes
+        # to C and back through numpy's public state dict
+        if n < 2:  # the kernel would divide by zero
+            raise ValueError(f"need n >= 2 agents to draw pairs, got {n}")
+        ii, jj, ee = buffers.take(size)
+        bitgen = rng.bit_generator
+        with bitgen.lock:
+            state = bitgen.state
+            if state["bit_generator"] != "PCG64":
+                raise TypeError(f"the C draws need PCG64, not {state['bit_generator']}")
+            pcg = state["state"]
+            words = (ctypes.c_uint64 * 6)(pcg["state"] >> 64, pcg["state"] & _MASK64,
+                                          pcg["inc"] >> 64, pcg["inc"] & _MASK64,
+                                          state["has_uint32"], state["uinteger"])
+            draw_kernel(words, n, size, ii.ctypes.data, jj.ctypes.data, ee.ctypes.data)
+            pcg["state"] = words[0] << 64 | words[1]
+            state["has_uint32"], state["uinteger"] = words[4], words[5]
+            bitgen.state = state
+        return ii, jj, ee
+
+    return exchange, draw
+
+
+def _check_draws(draw: Callable) -> None:
+    """Raise RuntimeError unless ``draw`` gives :func:`_draw_block`'s values and
+    generator state: at n = 2 (j draws nothing), on a 32-bit bound that
+    rejects about half its draws, at 2**32 (plain 32-bit words) and on a
+    64-bit bound; in two consecutive blocks of odd sizes, so a spare
+    half-word carries from one draw to the next and across blocks."""
+    for n in (2, 1000, 2**31 + 1, 2**32, 2**33 + 3):
+        want, got = np.random.default_rng(n), np.random.default_rng(n)
+        for size in (5, 1001):
+            if not (all(map(np.array_equal, _draw_block(want, n, size),
+                            draw(got, n, size, _DrawBuffers())))
+                    and got.bit_generator.state == want.bit_generator.state):
+                raise RuntimeError(f"its draws differ from numpy's at n={n}")
 
 
 class _Backend(NamedTuple):
     name: str             # "c" or "python"
     exchange: Callable    # the loop body, with the signature of _exchange
+    draw: Callable        # (rng, n, size, _DrawBuffers) -> the arrays of _draw_block
     container: Callable   # list of initial assets -> the container it updates
 
 
 def _load_backend(name: str) -> _Backend:
     """The ``"python"`` reference, or the ``"c"`` kernel, which raises
-    OSError or RuntimeError (no home directory) when it cannot be built."""
+    OSError or RuntimeError (no home directory) when it cannot be built,
+    and RuntimeError when its draws fail :func:`_check_draws`."""
     if name == "c":
-        return _Backend("c", _load_kernel(), np.array)
-    return _Backend("python", _exchange, list)
+        exchange, draw = _load_kernel()
+        _check_draws(draw)
+        return _Backend("c", exchange, draw, np.array)
+    return _Backend("python", _exchange,
+                    lambda rng, n, size, buffers: _draw_block(rng, n, size), list)
 
 
 @functools.cache
@@ -272,6 +365,7 @@ def run_simulation(params: SimulationParams) -> RunResult:
     t_max = params.t_max
     rng = np.random.default_rng(params.seed)
     backend = _resolve_backend()
+    buffers = getattr(_thread_draws, "buffers", None) or _DrawBuffers()
 
     assets = backend.container([params.initial_asset] * n)
     snapshots: dict[int, np.ndarray] = {}
@@ -282,7 +376,7 @@ def run_simulation(params: SimulationParams) -> RunResult:
     t = 0
     while t < t_max:
         block = min(_BLOCK, t_max - t)
-        ii, jj, ee = _draw_block(rng, n, block)
+        ii, jj, ee = backend.draw(rng, n, block, buffers)
         start = t
         end = t + block
         while t < end:

@@ -10,9 +10,10 @@ correlation between the t1 and t2 snapshots.
 Cells and replicates are embarrassingly parallel: each replicate is one
 job on a thread pool, and the aggregation always reduces results in
 (lambda-index, gamma-index, replicate-index) order, so the cells are
-bit-identical regardless of scheduling. The C exchange kernel runs without
-the GIL, so threads run it in parallel; the Python fallback gets no speed-up
-from them. KINEX_THREADS sets the worker count when the caller passes
+bit-identical regardless of scheduling. The C kernel draws and exchanges
+without the GIL, so threads run it in parallel; the Python fallback gets no
+speed-up from them. Each worker thread reuses one set of draw buffers for
+all its runs. KINEX_THREADS sets the worker count when the caller passes
 none; the count never exceeds ``os.cpu_count()``.
 """
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .exchange import (RunResult, SimulationParams, _is_integer, _resolve_backend,
-                       run_simulation)
+                       _reuse_draw_buffers, run_simulation)
 from .metrics import gini, kendall_tau, total_exchange
 
 
@@ -156,7 +157,9 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SweepCell]:
 
     # once here: concurrent first calls would race to build the kernel and could warn twice
     _resolve_backend()
-    with ThreadPoolExecutor(max_workers=min(_resolve_workers(workers), len(jobs))) as pool:
+    # each worker draws all its runs into one set of buffers, freed as the pool's threads exit
+    with ThreadPoolExecutor(max_workers=min(_resolve_workers(workers), len(jobs)),
+                            initializer=_reuse_draw_buffers) as pool:
         # a failed job ends the map, which cancels the jobs not yet started
         outcomes = list(pool.map(replicate_metrics, *zip(*jobs)))
 

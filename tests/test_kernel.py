@@ -1,14 +1,18 @@
-"""The compiled exchange kernel against its reference, and backend selection.
+"""The compiled exchange kernel against its references, and backend selection.
 
-``_kernel.c`` is a transliteration of ``_exchange``; these tests hold it to
-the same bits on drawn runs, on the ``REPLAY_CASES`` of test_exchange and on
-the ``RUN_GOLDENS`` of test_golden, by handing ``run_simulation`` each
-backend in turn. They also pin how the backend is resolved: the C kernel
-whenever ``gcc`` is on PATH, else the Python reference with one warning and
-the same digests, and nothing built at import.
+``_kernel.c`` transliterates ``_exchange`` and reproduces ``_draw_block``;
+these tests hold its draws to ``_draw_block``'s values and generator state
+in every bound regime of numpy's integer draws, and its runs to the same
+bits on drawn runs, on the ``REPLAY_CASES`` of test_exchange and on the
+``RUN_GOLDENS`` of test_golden, by handing ``run_simulation`` each backend
+in turn. They also pin how the backend is resolved: the C kernel whenever
+``gcc`` is on PATH and its draws pass the load-time probe, else the Python
+reference with one warning and the same digests, and nothing built at
+import.
 """
 
 import hashlib
+import itertools
 import json
 import os
 import shutil
@@ -23,9 +27,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kinex import SimulationParams, run_simulation
+from kinex import SimulationParams, SweepSpec, exchange, run_simulation, run_sweep
 from kinex.cli import main
-from kinex.exchange import _CHUNK, _load_backend, _resolve_backend
+from kinex.exchange import _CHUNK, _DrawBuffers, _draw_block, _load_backend, _resolve_backend
 from test_exchange import REPLAY_CASES, replay_one_step_at_a_time
 from test_golden import RUN_GOLDENS, SWEEP_CONFIG, SWEEP_CSV_SHA256
 
@@ -110,6 +114,65 @@ class TestParity:
         assert {t: hashlib.sha256(a.tobytes()).hexdigest()
                 for t, a in result.snapshots.items()} == snapshot_digests
         assert float.hex(result.cumulative_pool) == pool_hex
+
+
+# numpy's bounded integer draws by the bound n - 1 of i and n - 2 of j: n = 2
+# draws nothing for j; 3 and 1000 take 32-bit Lemire draws, which at 2**31 + 1
+# reject about half the time; 2**32 takes plain 32-bit words for i; 2**32 + 1
+# and 2**33 + 3 take 64-bit Lemire draws
+DRAW_NS = (2, 3, 1000, 2**31 + 1, 2**32, 2**32 + 1, 2**33 + 3)
+DRAW_SIZES = (1, 2, 3, 4097)
+
+
+class TestDraws:
+    @pytest.mark.parametrize("n", DRAW_NS)
+    def test_c_draws_equal_draw_block(self, c_backend, n):
+        # two consecutive blocks of every pair of sizes: an odd count of 32-bit
+        # draws leaves a spare half-word that the next draw, in this block or
+        # the next, takes first
+        buffers = _DrawBuffers()
+        for seed, sizes in itertools.product(range(16), itertools.product(DRAW_SIZES, repeat=2)):
+            want, got = np.random.default_rng(seed), np.random.default_rng(seed)
+            for size in sizes:
+                for w, g in zip(_draw_block(want, n, size), c_backend.draw(got, n, size, buffers)):
+                    assert w.dtype == g.dtype and w.tobytes() == g.tobytes(), (seed, sizes)
+                assert got.bit_generator.state == want.bit_generator.state, (seed, sizes)
+
+    def test_c_draws_refuse_what_they_cannot_reproduce(self, c_backend):
+        with pytest.raises(ValueError, match="n >= 2"):  # the kernel would divide by zero
+            c_backend.draw(np.random.default_rng(0), 1, 5, _DrawBuffers())
+        with pytest.raises(TypeError, match="PCG64"):
+            c_backend.draw(np.random.Generator(np.random.PCG64DXSM(0)), 10, 5, _DrawBuffers())
+
+    def test_sweep_workers_reuse_one_set_of_draw_buffers(self, monkeypatch):
+        seen = []  # the thread's draw buffers after each run
+
+        def run_and_peek(params):
+            result = run_simulation(params)
+            seen.append(getattr(exchange._thread_draws, "buffers", None))
+            return result
+
+        monkeypatch.setattr("kinex.sweep.run_simulation", run_and_peek)
+        run_sweep(SweepSpec(lambda_values=(0.2, 0.5), gamma_values=(0.5,), n_agents=20,
+                            t_max=200, replicates=2), workers=1)
+        assert len(seen) == 4 and isinstance(seen[0], _DrawBuffers)
+        assert all(buffers is seen[0] for buffers in seen)
+        run_and_peek(SimulationParams(n_agents=20, saving_rate=0.5, surplus_rate=0.5,
+                                      t_max=200))
+        assert seen[-1] is None  # a run on any other thread frees its own
+
+    def test_draw_probe_mismatch_falls_back_once(self, c_backend, fresh_resolution,
+                                                 monkeypatch):
+        def shifted(rng, n, size):  # the reference, one eps off by one ulp
+            ii, jj, ee = _draw_block(rng, n, size)
+            ee[-1] = np.nextafter(ee[-1], 1.0)
+            return ii, jj, ee
+
+        monkeypatch.setattr(exchange, "_draw_block", shifted)
+        with pytest.warns(RuntimeWarning, match="draws differ from numpy's") as caught:
+            assert _resolve_backend().name == "python"
+            assert _resolve_backend().name == "python"
+        assert len(caught) == 1
 
 
 @pytest.fixture
