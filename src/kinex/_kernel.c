@@ -1,9 +1,13 @@
-/* Compiled loop body of kinex.exchange._exchange, and the draws of
- * kinex.exchange._draw_block.
+/* Compiled loop body of kinex.exchange._exchange, the draws of
+ * kinex.exchange._draw_block and the pair counts of
+ * kinex.metrics._tau_counts.
  *
- * kinex_exchange is a line-for-line transliteration: the same IEEE double
- * operations in the same order, so results are bit-identical to the Python
- * reference. Build with -O2 -ffp-contract=off and never with -ffast-math or
+ * kinex_exchange does the same IEEE double operations as the Python
+ * reference in the same order, so results are bit-identical. It is not a
+ * line-for-line transliteration: it picks the poorer and the richer side
+ * with integer masks instead of a branch, which random pairs would make
+ * the CPU mispredict about half the time.
+ * Build with -O2 -ffp-contract=off and never with -ffast-math or
  * -march=native: a fused multiply-add or a reordered sum changes the last
  * bits.
  *
@@ -12,8 +16,26 @@
  * _draw_block draws and leaves the generator in the same state. kinex checks
  * it against _draw_block when it loads this library and does not use it if
  * they differ.
+ *
+ * kinex_tau_counts counts the same pairs as _tau_counts by Knight's (1966)
+ * merge sorts, in O(n log n) and in exact integers.
  */
 #include <stdint.h>
+#include <string.h>
+
+static inline uint64_t bits_of(double v)
+{
+    uint64_t u;
+    memcpy(&u, &v, sizeof u);
+    return u;
+}
+
+static inline double double_of(uint64_t u)
+{
+    double v;
+    memcpy(&v, &u, sizeof v);
+    return v;
+}
 
 double kinex_exchange(double *assets, const int64_t *ii, const int64_t *jj,
                       const double *ee, int64_t steps, double saving_rate,
@@ -30,18 +52,18 @@ double kinex_exchange(double *assets, const int64_t *ii, const int64_t *jj,
         const double fps = 1.0 - eps;
         const double mi = assets[i];
         const double mj = assets[j];
-        double gap, pool;
-        if (mi <= mj) {
-            gap = mj - mi;
-            pool = oml * (2.0 * mi + gam * gap);
-            assets[i] = lam * mi + eps * pool;
-            assets[j] = lam * mj + keep * gap + fps * pool;
-        } else {
-            gap = mi - mj;
-            pool = oml * (2.0 * mj + gam * gap);
-            assets[i] = lam * mi + keep * gap + eps * pool;
-            assets[j] = lam * mj + fps * pool;
-        }
+        /* all ones when i is the poorer side (or the two are equal), else 0 */
+        const uint64_t i_poorer = -(uint64_t)(mi <= mj);
+        const uint64_t bi = bits_of(mi), bj = bits_of(mj);
+        const double lo = double_of((bi & i_poorer) | (bj & ~i_poorer));
+        const double hi = double_of((bj & i_poorer) | (bi & ~i_poorer));
+        const double gap = hi - lo;
+        const double pool = oml * (2.0 * lo + gam * gap);
+        /* keep * gap for the richer side, +0.0 for the poorer: assets are
+         * never -0.0, so lam * m + 0.0 is lam * m bit for bit */
+        const uint64_t kept = bits_of(keep * gap);
+        assets[i] = lam * mi + double_of(kept & ~i_poorer) + eps * pool;
+        assets[j] = lam * mj + double_of(kept & i_poorer) + fps * pool;
         cumulative += pool;
     }
     return cumulative;
@@ -137,4 +159,79 @@ void kinex_draw(uint64_t *st, int64_t n, int64_t size, int64_t *ii, int64_t *jj,
     st[1] = (uint64_t)g.state;
     st[4] = (uint64_t)g.has_uint32;
     st[5] = g.uinteger;
+}
+
+/* Stable bottom-up merge sort of the n agent indices in a, with b as
+ * scratch, by x then y, or by y alone when x is NULL; an entry from the
+ * right half goes first only when it is strictly less. Returns a or b,
+ * whichever holds the result. When inversions is not NULL, adds the pairs
+ * the sort found in strictly descending order: each right entry that goes
+ * first passes the mid - p left entries still waiting. */
+static inline __attribute__((always_inline)) int64_t *
+merge_sort(const double *x, const double *y, int64_t n, int64_t *a, int64_t *b,
+           int64_t *inversions)
+{
+    for (int64_t width = 1; width < n; width *= 2) {
+        for (int64_t lo = 0; lo < n; lo += 2 * width) {
+            const int64_t mid = lo + width < n ? lo + width : n;
+            const int64_t hi = mid + width < n ? mid + width : n;
+            int64_t p = lo, q = mid, k = lo;
+            while (p < mid && q < hi) {
+                const int64_t l = a[p], r = a[q];
+                const int right_first = x ? x[r] < x[l] || (x[r] == x[l] && y[r] < y[l])
+                                          : y[r] < y[l];
+                if (right_first) {
+                    b[k++] = r;
+                    q++;
+                    if (inversions)
+                        *inversions += mid - p;
+                } else {
+                    b[k++] = l;
+                    p++;
+                }
+            }
+            while (p < mid)
+                b[k++] = a[p++];
+            while (q < hi)
+                b[k++] = a[q++];
+        }
+        int64_t *t = a;
+        a = b;
+        b = t;
+    }
+    return a;
+}
+
+/* The pair counts of _tau_counts for two snapshots x and y of n >= 2
+ * agents: out = {discordant, tied in x, tied in y, tied in both}. work
+ * holds 2n int64. C's == takes -0.0 and 0.0 as equal, as np.unique does. */
+void kinex_tau_counts(const double *x, const double *y, int64_t n, int64_t *work,
+                      int64_t *out)
+{
+    for (int64_t k = 0; k < n; k++)
+        work[k] = k;
+    int64_t *order = merge_sort(x, y, n, work, work + n, NULL);
+    /* runs of equal x, and of equal (x, y), are now adjacent; an entry
+     * that extends a run ties with every entry before it in the run */
+    int64_t ties_x = 0, ties_both = 0, run_x = 0, run_both = 0;
+    for (int64_t k = 1; k < n; k++) {
+        const int64_t l = order[k - 1], r = order[k];
+        run_x = x[r] == x[l] ? run_x + 1 : 0;
+        run_both = run_x && y[r] == y[l] ? run_both + 1 : 0;
+        ties_x += run_x;
+        ties_both += run_both;
+    }
+    /* x-order with equal x sorted by y: a pair sorted out of it by y is
+     * one whose x and y disagree strictly */
+    int64_t discordant = 0;
+    order = merge_sort(NULL, y, n, order, order == work ? work + n : work, &discordant);
+    int64_t ties_y = 0, run_y = 0;
+    for (int64_t k = 1; k < n; k++) {
+        run_y = y[order[k]] == y[order[k - 1]] ? run_y + 1 : 0;
+        ties_y += run_y;
+    }
+    out[0] = discordant;
+    out[1] = ties_x;
+    out[2] = ties_y;
+    out[3] = ties_both;
 }

@@ -21,16 +21,18 @@ in ``_CHUNK``-step pieces in :func:`_exchange`, is not. :func:`_exchange`
 is the one definition of the rule and its float operations. Both are the
 references any faster kernel must match bit for bit. Seed 0 is legal.
 
-Backends: ``_kernel.c`` holds a line-for-line C transliteration of
-:func:`_exchange` and a C reproduction of :func:`_draw_block`'s numpy
-algorithms, which :func:`_load_kernel` builds with the system ``gcc`` into a
-per-user cache. The C draws must give :func:`_draw_block`'s values and
-generator state on a fixed probe each time the library is loaded. Runs take
-the C backend when it is cached or can be built and passes the probe, and
-the Python references otherwise, with one warning. Only the draws, the loop
-body and the asset container (a list, or a float64 array for C) depend on
-the backend, and the results are bit-identical. The backend is resolved
-once per process on first use, never at import.
+Backends: ``_kernel.c`` holds a C loop that does :func:`_exchange`'s float
+operations in the same order (choosing the poorer side with masks instead
+of a branch), a C reproduction of :func:`_draw_block`'s numpy algorithms
+and a C count of ``metrics._tau_counts``' pairs. :func:`_load_kernel`
+builds it with the system ``gcc`` into a per-user cache. The C draws must
+give :func:`_draw_block`'s values and generator state on a fixed probe
+each time the library is loaded. Runs and tau take the C backend when it
+is cached or can be built and passes the probe, and the Python references
+otherwise, with one warning. Only the draws, the loop body, the asset
+container (a list, or a float64 array for C) and the tau pair counts
+depend on the backend, and the results are bit-identical. The backend is
+resolved once per process on first use, never at import.
 
 The C draws write into arrays the caller passes in. A sweep worker thread
 keeps one set of them for all its runs (:func:`_reuse_draw_buffers`); any
@@ -221,14 +223,15 @@ def _exchange(assets: list, ii: np.ndarray, jj: np.ndarray, ee: np.ndarray,
     return cumulative
 
 
-def _load_kernel() -> tuple[Callable, Callable]:
+def _load_kernel() -> tuple[Callable, Callable, Callable]:
     """Load ``_kernel.c``, building it into the cache first if it is not there.
 
     Returns its exchange, a function with the signature of :func:`_exchange`
-    that takes a float64 asset array, and its draws, with the signature of
-    a backend's ``draw``. The cached library is keyed by the SHA-256 of
-    the source, the flags and the platform. It is compiled to a temporary
-    file and renamed into place, so processes may build at the same time.
+    that takes a float64 asset array, its draws and its tau pair counts, with
+    the signatures of a backend's ``draw`` and ``tau_counts``. The cached
+    library is keyed by the SHA-256 of the source, the flags and the
+    platform. It is compiled to a temporary file and renamed into place, so
+    processes may build at the same time.
     Raises OSError when there is no ``gcc``, the build fails or the cache
     is unwritable.
     """
@@ -269,6 +272,9 @@ def _load_kernel() -> tuple[Callable, Callable]:
     draw_kernel.restype = None
     draw_kernel.argtypes = ((ctypes.POINTER(ctypes.c_uint64),) + (ctypes.c_int64,) * 2
                             + (ctypes.c_void_p,) * 3)
+    tau_kernel = library.kinex_tau_counts
+    tau_kernel.restype = None
+    tau_kernel.argtypes = (ctypes.c_void_p,) * 2 + (ctypes.c_int64,) + (ctypes.c_void_p,) * 2
 
     def exchange(assets: np.ndarray, ii: np.ndarray, jj: np.ndarray, ee: np.ndarray,
                  saving_rate: float, surplus_rate: float, cumulative: float) -> float:
@@ -300,7 +306,18 @@ def _load_kernel() -> tuple[Callable, Callable]:
             bitgen.state = state
         return ii, jj, ee
 
-    return exchange, draw
+    def tau_counts(x: np.ndarray, y: np.ndarray) -> tuple[int, int, int, int]:
+        # the kernel reads raw memory: contiguous float64 vectors of one length
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        y = np.ascontiguousarray(y, dtype=np.float64)
+        if not (x.ndim == y.ndim == 1 and x.size == y.size >= 2):
+            raise ValueError("the C tau counts need two 1-d vectors of one length >= 2")
+        work = np.empty(2 * x.size, np.int64)
+        out = np.empty(4, np.int64)
+        tau_kernel(x.ctypes.data, y.ctypes.data, x.size, work.ctypes.data, out.ctypes.data)
+        return tuple(out.tolist())
+
+    return exchange, draw, tau_counts
 
 
 def _check_draws(draw: Callable) -> None:
@@ -323,6 +340,7 @@ class _Backend(NamedTuple):
     exchange: Callable    # the loop body, with the signature of _exchange
     draw: Callable        # (rng, n, size, _DrawBuffers) -> the arrays of _draw_block
     container: Callable   # list of initial assets -> the container it updates
+    tau_counts: Callable  # (x, y) float64 vectors -> the pair counts of metrics._tau_counts
 
 
 def _load_backend(name: str) -> _Backend:
@@ -330,11 +348,13 @@ def _load_backend(name: str) -> _Backend:
     OSError or RuntimeError (no home directory) when it cannot be built,
     and RuntimeError when its draws fail :func:`_check_draws`."""
     if name == "c":
-        exchange, draw = _load_kernel()
+        exchange, draw, tau_counts = _load_kernel()
         _check_draws(draw)
-        return _Backend("c", exchange, draw, np.array)
+        return _Backend("c", exchange, draw, np.array, tau_counts)
+    from .metrics import _tau_counts  # here, as metrics imports this module
     return _Backend("python", _exchange,
-                    lambda rng, n, size, buffers: _draw_block(rng, n, size), list)
+                    lambda rng, n, size, buffers: _draw_block(rng, n, size), list,
+                    _tau_counts)
 
 
 @functools.cache

@@ -44,11 +44,14 @@ def fit_linear(points) -> FitResult:
     y = np.array([p.y for p in pts])
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("fit_linear requires finite coordinates")
+    # before the mean: the mean of three 0.1s is not 0.1, so sxx would not be 0
+    if np.all(x == x[0]):
+        raise DegenerateDataError("all x values identical; fit is singular")
     x_mean = x.mean()
     y_mean = y.mean()
     sxx = float(((x - x_mean) ** 2).sum())
-    if sxx == 0.0:
-        raise DegenerateDataError("all x values identical; fit is singular")
+    if sxx == 0.0:  # distinct x so close together that their squares underflow
+        raise DegenerateDataError("x values too close together; fit is singular")
     slope = float(((x - x_mean) * (y - y_mean)).sum()) / sxx
     intercept = float(y_mean - slope * x_mean)
     ss_res = float(((y - (slope * x + intercept)) ** 2).sum())

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import exchange
 from .errors import DegenerateDataError
 
 
@@ -94,6 +95,21 @@ def _pairs_within(counts: np.ndarray) -> int:
     return int((counts * (counts - 1) // 2).sum())
 
 
+def _tau_counts(x: np.ndarray, y: np.ndarray) -> tuple[int, int, int, int]:
+    """Agent pairs of two float vectors that are discordant, tied in x, tied
+    in y and tied in both: the reference that the C counts must equal.
+
+    Follows Knight (1966): sort the agents by x, then y, and count
+    inversions of y's ranks, with O(n log^2 n) numpy work.
+    """
+    _, x_rank, x_counts = np.unique(x, return_inverse=True, return_counts=True)
+    _, y_rank, y_counts = np.unique(y, return_inverse=True, return_counts=True)
+    key = x_rank * len(y_counts) + y_rank  # orders agents by x, then y
+    _, key_counts = np.unique(key, return_counts=True)
+    return (_inversions(y_rank[np.argsort(key)]), _pairs_within(x_counts),
+            _pairs_within(y_counts), _pairs_within(key_counts))
+
+
 def kendall_tau(assets_t1, assets_t2) -> float:
     """Kendall rank correlation between two snapshots of the same agents.
 
@@ -103,10 +119,10 @@ def kendall_tau(assets_t1, assets_t2) -> float:
     pair count). Two all-equal snapshots have no comparable pair; that
     degenerate tau is defined as 0 and warned about.
 
-    Follows Knight (1966): sort the agents by the first snapshot, then the
-    second, and count inversions of the second snapshot's ranks, with
-    O(n log^2 n) numpy work. Pair counts are exact integers, so the result
-    does not depend on the input order.
+    The pairs are counted by Knight's (1966) method: O(n log n) merge sorts
+    in C without the GIL, or, where the C unit is unavailable, the numpy
+    reference :func:`_tau_counts` in O(n log^2 n). Pair counts are exact
+    integers, so the result does not depend on the input order or backend.
     """
     x = np.asarray(assets_t1, dtype=float)
     y = np.asarray(assets_t2, dtype=float)
@@ -117,15 +133,7 @@ def kendall_tau(assets_t1, assets_t2) -> float:
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("kendall_tau requires finite assets")
     n_pairs = x.size * (x.size - 1) // 2
-
-    _, x_rank, x_counts = np.unique(x, return_inverse=True, return_counts=True)
-    _, y_rank, y_counts = np.unique(y, return_inverse=True, return_counts=True)
-    key = x_rank * len(y_counts) + y_rank  # orders agents by x, then y
-    _, key_counts = np.unique(key, return_counts=True)
-    discordant = _inversions(y_rank[np.argsort(key)])
-    ties_x = _pairs_within(x_counts)
-    ties_y = _pairs_within(y_counts)
-    ties_both = _pairs_within(key_counts)
+    discordant, ties_x, ties_y, ties_both = exchange._resolve_backend().tau_counts(x, y)
     comparable = n_pairs - ties_x - ties_y + ties_both
     if comparable == 0:
         warnings.warn("all agent pairs are tied; tau defined as 0", stacklevel=2)

@@ -235,6 +235,21 @@ class TestSweepAndFit:
             "0.2,0.0,0.5,0,0.5,0,0.5,0,1\n")
         assert run_cli(["fit", "--table", str(table), "--out", str(tmp_path / "x")]) == 1
 
+    def test_fit_on_identical_flows_fails_with_one_line(self, tmp_path, capsys):
+        # every mean_f is 0.1: the tau-vs-flow fit has one x value, which the
+        # mean of the three no longer equals exactly
+        table = tmp_path / "table.csv"
+        table.write_text(
+            "lambda,gamma,mean_g,std_g,mean_f,std_f,mean_tau,std_tau,replicates\n"
+            "0.2,0.5,0.5,0,0.1,0,0.5,0,1\n"
+            "0.4,0.5,0.4,0,0.1,0,0.6,0,1\n"
+            "0.6,0.5,0.3,0,0.1,0,0.8,0,1\n")
+        out = tmp_path / "fitout"
+        assert run_cli(["fit", "--table", str(table), "--out", str(out)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "kinex: all x values identical; fit is singular"
+        assert not (out / "fit_report.json").exists()
+
     def test_json_output_format(self, tmp_path):
         payload = dict(SMALL_SWEEP)
         payload["output"] = {"dir": str(tmp_path / "jout"), "format": "json"}

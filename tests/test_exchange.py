@@ -19,61 +19,73 @@ def exchange_once(mi, mj, lam, gam, eps):
     return assets[0], assets[1], pool
 
 
-class TestExchangeStep:
-    def test_equal_assets_no_saving_splits_evenly(self):
-        assert exchange_once(1.0, 1.0, 0.0, 0.0, 0.5) == (1.0, 1.0, 2.0)
+def exchange_step_tests(exchange_once):
+    """Tests of one step of a loop body, given as ``exchange_once``.
 
-    def test_poorer_loses_whole_stake_when_epsilon_zero(self):
-        # lam=0.25, gamma=0: each side stakes 0.75, all of it goes to j
-        new_mi, new_mj, pool = exchange_once(1.0, 3.0, 0.25, 0.0, 0.0)
-        assert pool == pytest.approx(1.5, rel=1e-15)
-        assert new_mi == pytest.approx(0.25, rel=1e-15)
-        assert new_mj == pytest.approx(3.75, rel=1e-15)
+    Hypothesis holds each ``@given`` test to one test class, so every loop
+    body gets a class of its own.
+    """
 
-    def test_richer_stakes_full_surplus_at_gamma_one(self):
-        # richer stakes 0.5*6=3, poorer 1; i takes the whole pool
-        new_mi, new_mj, pool = exchange_once(2.0, 6.0, 0.5, 1.0, 1.0)
-        assert pool == pytest.approx(4.0, rel=1e-15)
-        assert new_mi == pytest.approx(5.0, rel=1e-15)
-        assert new_mj == pytest.approx(3.0, rel=1e-15)
+    class TestExchangeStep:
+        def test_equal_assets_no_saving_splits_evenly(self):
+            assert exchange_once(1.0, 1.0, 0.0, 0.0, 0.5) == (1.0, 1.0, 2.0)
 
-    @given(mi=assets_st, mj=assets_st, lam=unit_st, gam=unit_st, eps=unit_st)
-    def test_conserves_and_stays_non_negative(self, mi, mj, lam, gam, eps):
-        new_mi, new_mj, pool = exchange_once(mi, mj, lam, gam, eps)
-        assert new_mi >= 0.0
-        assert new_mj >= 0.0
-        assert pool >= 0.0
-        total = mi + mj
-        assert new_mi + new_mj == pytest.approx(total, rel=1e-12, abs=1e-12)
+        def test_poorer_loses_whole_stake_when_epsilon_zero(self):
+            # lam=0.25, gamma=0: each side stakes 0.75, all of it goes to j
+            new_mi, new_mj, pool = exchange_once(1.0, 3.0, 0.25, 0.0, 0.0)
+            assert pool == pytest.approx(1.5, rel=1e-15)
+            assert new_mi == pytest.approx(0.25, rel=1e-15)
+            assert new_mj == pytest.approx(3.75, rel=1e-15)
 
-    @given(mi=assets_st, mj=assets_st, lam=unit_st, gam=unit_st, eps=unit_st)
-    def test_swapping_positions_swaps_shares(self, mi, mj, lam, gam, eps):
-        # rounding error scales with the pair total, not the (possibly
-        # near-zero) individual shares, so tolerate relative to mi + mj
-        tol = 1e-12 * (mi + mj + 1.0)
-        fwd_i, fwd_j, _ = exchange_once(mi, mj, lam, gam, eps)
-        rev_i, rev_j, _ = exchange_once(mj, mi, lam, gam, 1.0 - eps)
-        assert rev_i == pytest.approx(fwd_j, abs=tol)
-        assert rev_j == pytest.approx(fwd_i, abs=tol)
+        def test_richer_stakes_full_surplus_at_gamma_one(self):
+            # richer stakes 0.5*6=3, poorer 1; i takes the whole pool
+            new_mi, new_mj, pool = exchange_once(2.0, 6.0, 0.5, 1.0, 1.0)
+            assert pool == pytest.approx(4.0, rel=1e-15)
+            assert new_mi == pytest.approx(5.0, rel=1e-15)
+            assert new_mj == pytest.approx(3.0, rel=1e-15)
 
-    @given(mi=assets_st, mj=assets_st, lam=unit_st, eps=unit_st)
-    def test_gamma_zero_matches_poorer_surplus_rule(self, mi, mj, lam, eps):
-        tol = 1e-12 * (mi + mj + 1.0)
-        new_mi, _, out_pool = exchange_once(mi, mj, lam, 0.0, eps)
-        m_p = min(mi, mj)
-        pool = 2.0 * (1.0 - lam) * m_p
-        assert out_pool == pytest.approx(pool, abs=tol)
-        expect_i = mi - (1.0 - lam) * m_p + eps * pool
-        assert new_mi == pytest.approx(expect_i, abs=tol)
+        @given(mi=assets_st, mj=assets_st, lam=unit_st, gam=unit_st, eps=unit_st)
+        def test_conserves_and_stays_non_negative(self, mi, mj, lam, gam, eps):
+            new_mi, new_mj, pool = exchange_once(mi, mj, lam, gam, eps)
+            assert new_mi >= 0.0
+            assert new_mj >= 0.0
+            assert pool >= 0.0
+            total = mi + mj
+            assert new_mi + new_mj == pytest.approx(total, rel=1e-12, abs=1e-12)
 
-    @given(mi=assets_st, mj=assets_st, lam=unit_st, eps=unit_st)
-    def test_gamma_one_matches_full_surplus_rule(self, mi, mj, lam, eps):
-        tol = 1e-12 * (mi + mj + 1.0)
-        new_mi, _, out_pool = exchange_once(mi, mj, lam, 1.0, eps)
-        pool = (1.0 - lam) * (mi + mj)
-        assert out_pool == pytest.approx(pool, abs=tol)
-        expect_i = lam * mi + eps * pool
-        assert new_mi == pytest.approx(expect_i, abs=tol)
+        @given(mi=assets_st, mj=assets_st, lam=unit_st, gam=unit_st, eps=unit_st)
+        def test_swapping_positions_swaps_shares(self, mi, mj, lam, gam, eps):
+            # rounding error scales with the pair total, not the (possibly
+            # near-zero) individual shares, so tolerate relative to mi + mj
+            tol = 1e-12 * (mi + mj + 1.0)
+            fwd_i, fwd_j, _ = exchange_once(mi, mj, lam, gam, eps)
+            rev_i, rev_j, _ = exchange_once(mj, mi, lam, gam, 1.0 - eps)
+            assert rev_i == pytest.approx(fwd_j, abs=tol)
+            assert rev_j == pytest.approx(fwd_i, abs=tol)
+
+        @given(mi=assets_st, mj=assets_st, lam=unit_st, eps=unit_st)
+        def test_gamma_zero_matches_poorer_surplus_rule(self, mi, mj, lam, eps):
+            tol = 1e-12 * (mi + mj + 1.0)
+            new_mi, _, out_pool = exchange_once(mi, mj, lam, 0.0, eps)
+            m_p = min(mi, mj)
+            pool = 2.0 * (1.0 - lam) * m_p
+            assert out_pool == pytest.approx(pool, abs=tol)
+            expect_i = mi - (1.0 - lam) * m_p + eps * pool
+            assert new_mi == pytest.approx(expect_i, abs=tol)
+
+        @given(mi=assets_st, mj=assets_st, lam=unit_st, eps=unit_st)
+        def test_gamma_one_matches_full_surplus_rule(self, mi, mj, lam, eps):
+            tol = 1e-12 * (mi + mj + 1.0)
+            new_mi, _, out_pool = exchange_once(mi, mj, lam, 1.0, eps)
+            pool = (1.0 - lam) * (mi + mj)
+            assert out_pool == pytest.approx(pool, abs=tol)
+            expect_i = lam * mi + eps * pool
+            assert new_mi == pytest.approx(expect_i, abs=tol)
+
+    return TestExchangeStep
+
+
+TestExchangeStep = exchange_step_tests(exchange_once)
 
 
 class TestSamplePair:

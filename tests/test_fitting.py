@@ -62,6 +62,17 @@ class TestFitLinear:
         with pytest.raises(ValueError):
             fit_linear([(1.0, float("nan")), (2.0, 3.0)])
 
+    @pytest.mark.parametrize("x", [0.1, 0.3])
+    def test_identical_x_is_singular_whatever_their_mean_rounds_to(self, x):
+        # the mean of three 0.1s is 0.10000000000000002, which once left a
+        # tiny nonzero sxx and a slope of 5.33
+        with pytest.raises(DegenerateDataError, match="identical"):
+            fit_linear([(x, 0.5), (x, 0.6), (x, 0.8)])
+
+    def test_distinct_x_whose_spread_underflows_are_singular(self):
+        with pytest.raises(DegenerateDataError, match="too close"):
+            fit_linear([(1e-200, 0.5), (2e-200, 0.6)])
+
 
 class TestFlowGiniRatioPoints:
     def test_unit_stake_maps_to_origin(self):

@@ -1,16 +1,19 @@
 """The compiled exchange kernel against its references, and backend selection.
 
-``_kernel.c`` transliterates ``_exchange`` and reproduces ``_draw_block``;
-these tests hold its draws to ``_draw_block``'s values and generator state
-in every bound regime of numpy's integer draws, and its runs to the same
-bits on drawn runs, on the ``REPLAY_CASES`` of test_exchange and on the
-``RUN_GOLDENS`` of test_golden, by handing ``run_simulation`` each backend
-in turn. They also pin how the backend is resolved: the C kernel whenever
+``_kernel.c`` computes ``_exchange``'s step, reproduces ``_draw_block`` and
+counts ``metrics._tau_counts``' pairs. These tests hold its loop to the
+hand-computed steps and properties of test_exchange, its draws to
+``_draw_block``'s values and generator state in every bound regime of
+numpy's integer draws, its tau counts to the numpy ones, and its runs to
+the same bits on drawn runs, on the ``REPLAY_CASES`` of test_exchange and
+on the ``RUN_GOLDENS`` of test_golden, by handing kinex each backend in
+turn. They also pin how the backend is resolved: the C kernel whenever
 ``gcc`` is on PATH and its draws pass the load-time probe, else the Python
 reference with one warning and the same digests, and nothing built at
 import.
 """
 
+import functools
 import hashlib
 import itertools
 import json
@@ -27,7 +30,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kinex import SimulationParams, SweepSpec, exchange, run_simulation, run_sweep
+import test_exchange
+import test_metrics
+from kinex import (SimulationParams, SweepSpec, exchange, kendall_tau, run_simulation,
+                   run_sweep)
 from kinex.cli import main
 from kinex.exchange import _CHUNK, _DrawBuffers, _draw_block, _load_backend, _resolve_backend
 from test_exchange import REPLAY_CASES, replay_one_step_at_a_time
@@ -37,8 +43,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 PYTHON = _load_backend("python")
 
 
-@pytest.fixture(scope="module")
-def c_backend():
+@functools.cache
+def load_c_backend():
     """Skip when there is no gcc and no cached kernel; any other build failure fails."""
     try:
         return _load_backend("c")
@@ -48,13 +54,23 @@ def c_backend():
         raise
 
 
+@pytest.fixture(scope="module")
+def c_backend():
+    return load_c_backend()
+
+
 @pytest.fixture(params=["c", "python"])
 def backend(request):
     return request.getfixturevalue("c_backend") if request.param == "c" else PYTHON
 
 
+def on(backend):
+    """Make kinex take ``backend`` for runs and tau, as if it had resolved it."""
+    return mock.patch("kinex.exchange._resolve_backend", lambda: backend)
+
+
 def run_with(backend, params: SimulationParams):
-    with mock.patch("kinex.exchange._resolve_backend", lambda: backend):
+    with on(backend):
         return run_simulation(params)
 
 
@@ -114,6 +130,77 @@ class TestParity:
         assert {t: hashlib.sha256(a.tobytes()).hexdigest()
                 for t, a in result.snapshots.items()} == snapshot_digests
         assert float.hex(result.cumulative_pool) == pool_hex
+
+
+def c_exchange_once(mi, mj, lam, gam, eps):
+    """test_exchange's exchange_once on the C loop, over a float64 array."""
+    assets = np.array([mi, mj], dtype=np.float64)
+    pool = load_c_backend().exchange(assets, np.array([0], np.int64), np.array([1], np.int64),
+                                     np.array([eps], np.float64), lam, gam, 0.0)
+    return float(assets[0]), float(assets[1]), pool
+
+
+# test_exchange's hand-computed steps and properties, on the C loop
+TestExchangeStep = test_exchange.exchange_step_tests(c_exchange_once)
+
+
+def assert_counts_agree(c_backend, x, y):
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    got = c_backend.tau_counts(x, y)
+    assert [type(count) for count in got] == [int] * 4
+    assert got == PYTHON.tau_counts(x, y)
+
+
+# few distinct values, zeros of both signs among them, so most pairs tie
+TIE_VALUES = (-0.0, 0.0, 0.5, 1.0, 2.0)
+tie_heavy_pair = st.integers(min_value=2, max_value=200).flatmap(
+    lambda n: st.tuples(*[st.lists(st.sampled_from(TIE_VALUES), min_size=n, max_size=n)] * 2))
+# the C merges pair up blocks of width 1, 2, 4, ...: sizes around each power of two
+MERGE_EDGE_SIZES = sorted({2, 3} | {2**k + d for k in range(2, 12) for d in (-1, 0, 1)})
+
+
+class TestTau:
+    @settings(max_examples=150, deadline=None)
+    @given(pair=tie_heavy_pair)
+    def test_c_counts_equal_numpy_on_tie_heavy_vectors(self, c_backend, pair):
+        assert_counts_agree(c_backend, *pair)
+
+    @pytest.mark.parametrize("n", MERGE_EDGE_SIZES)
+    def test_c_counts_equal_numpy_at_merge_width_edges(self, c_backend, n):
+        rng = np.random.default_rng(n)
+        assert_counts_agree(c_backend, rng.random(n), rng.random(n))
+        assert_counts_agree(c_backend, rng.integers(0, 3, n), rng.choice(TIE_VALUES, n))
+
+    def test_c_counts_equal_numpy_on_large_run_snapshots(self, c_backend):
+        # about e**-2 of the agents have not traded by t = 1e5: they tie at 1.0
+        params = SimulationParams(n_agents=100_000, saving_rate=0.5, surplus_rate=0.5,
+                                  t_max=200_000, seed=4, snapshot_times=(100_000, 200_000))
+        result = run_with(c_backend, params)
+        assert_counts_agree(c_backend, result.snapshots[100_000], result.snapshots[200_000])
+
+    def test_all_tied_pair_warns_once_and_gives_zero(self, backend):
+        with on(backend), pytest.warns(UserWarning, match="tied") as caught:
+            assert kendall_tau([2.0] * 7, [0.0, -0.0] * 3 + [0.0]) == 0.0
+        assert len(caught) == 1
+
+    def test_input_types_give_one_tau_on_both_backends(self, c_backend):
+        rng = np.random.default_rng(6)
+        ints = rng.integers(0, 40, size=(2, 301))
+        wide = rng.random((2, 602))
+        for x, y in [(ints[0].tolist(), ints[1].tolist()), (ints[0], ints[1]),
+                     (wide[0].astype(np.float32), wide[1].astype(np.float32)),
+                     (wide[0, ::2], wide[1, ::2])]:
+            want = kendall_tau(np.array(x, dtype=np.float64), np.array(y, dtype=np.float64))
+            for backend in (c_backend, PYTHON):
+                with on(backend):
+                    assert kendall_tau(x, y) == want, (backend.name, type(x))
+
+    @pytest.mark.parametrize("name", ["test_matches_brute_force_on_random_vectors",
+                                      "test_matches_brute_force_with_ties",
+                                      "test_matches_brute_force_on_tie_heavy_vectors"])
+    def test_brute_force_cases_on_each_backend(self, backend, name):
+        with on(backend):
+            getattr(test_metrics.TestKendallTau(), name)()
 
 
 # numpy's bounded integer draws by the bound n - 1 of i and n - 2 of j: n = 2
