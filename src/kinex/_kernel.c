@@ -13,7 +13,10 @@
  *
  * kinex_draw reproduces numpy's PCG64 and the algorithms behind
  * Generator.integers and Generator.random, so it writes the very values
- * _draw_block draws and leaves the generator in the same state. kinex checks
+ * _draw_block draws and leaves the generator in the same state. A 32-bit
+ * bound is drawn two values per 64-bit word, low half first; a pair with a
+ * Lemire leftover below the number of choices, a spare half-word carried
+ * in and an odd tail take the exact one-value path. kinex checks
  * it against _draw_block when it loads this library and does not use it if
  * they differ.
  *
@@ -101,6 +104,23 @@ static inline uint32_t next_uint32(pcg64 *g)
     return (uint32_t)next;
 }
 
+/* Lemire's method for a 32-bit rng < 2**32 - 1, from the product m of
+ * its first word and rng + 1: redraw while the low half of m falls below
+ * numpy's threshold, then return the high half. */
+static inline uint64_t lemire32(pcg64 *g, uint64_t m, uint32_t rng)
+{
+    const uint32_t excl = rng + 1u;
+    uint32_t leftover = (uint32_t)m;
+    if (leftover < excl) {
+        const uint32_t threshold = (UINT32_MAX - rng) % excl;
+        while (leftover < threshold) {
+            m = (uint64_t)next_uint32(g) * excl;
+            leftover = (uint32_t)m;
+        }
+    }
+    return m >> 32;
+}
+
 /* One value of Generator.integers(0, rng + 1) for int64, by numpy's
  * unmasked bounded path: rng == 0 draws nothing, a 32-bit rng takes
  * Lemire's method on 32-bit words (or a plain word at 2**32 - 1), and a
@@ -111,19 +131,8 @@ static inline __attribute__((always_inline)) uint64_t bounded(pcg64 *g, uint64_t
         return 0;
     if (rng == 0xFFFFFFFFULL)
         return next_uint32(g);
-    if (rng < 0xFFFFFFFFULL) {
-        const uint32_t excl = (uint32_t)rng + 1u;
-        uint64_t m = (uint64_t)next_uint32(g) * excl;
-        uint32_t leftover = (uint32_t)m;
-        if (leftover < excl) {
-            const uint32_t threshold = (UINT32_MAX - (uint32_t)rng) % excl;
-            while (leftover < threshold) {
-                m = (uint64_t)next_uint32(g) * excl;
-                leftover = (uint32_t)m;
-            }
-        }
-        return m >> 32;
-    }
+    if (rng < 0xFFFFFFFFULL)
+        return lemire32(g, (uint64_t)next_uint32(g) * ((uint32_t)rng + 1u), (uint32_t)rng);
     const uint64_t excl = rng + 1u;
     u128 m = (u128)next_uint64(g) * excl;
     uint64_t leftover = (uint64_t)m;
@@ -137,6 +146,43 @@ static inline __attribute__((always_inline)) uint64_t bounded(pcg64 *g, uint64_t
     return (uint64_t)(m >> 64);
 }
 
+/* Fill out with `size` values of bounded(g, rng). A 32-bit rng below
+ * 2**32 - 1 takes both halves of each word in one step, low half first as
+ * next_uint32 hands them out, and leaves the high half in uinteger as
+ * numpy does. bounded() takes a spare half carried in and an odd tail. A
+ * pair with a leftover below excl puts its high half back as the spare
+ * and finishes the low half by numpy's rejection test; at n <= 1e5 that
+ * happens to at most n / 2**32 of the draws. */
+static void fill_bounded(pcg64 *gp, uint64_t rng, int64_t size, int64_t *out)
+{
+    pcg64 g = *gp; /* a local copy, so the state stays in registers */
+    int64_t k = 0;
+    if (rng != 0 && rng < 0xFFFFFFFFULL) {
+        const uint32_t excl = (uint32_t)rng + 1u;
+        while (k + 1 < size) {
+            if (g.has_uint32) {
+                out[k++] = (int64_t)bounded(&g, rng);
+                continue;
+            }
+            const uint64_t word = next_uint64(&g);
+            const uint32_t hi = (uint32_t)(word >> 32);
+            const uint64_t m0 = (uint64_t)(uint32_t)word * excl, m1 = (uint64_t)hi * excl;
+            g.uinteger = hi;
+            if (((uint32_t)m0 < excl) | ((uint32_t)m1 < excl)) {
+                g.has_uint32 = 1;
+                out[k++] = (int64_t)lemire32(&g, m0, (uint32_t)rng);
+                continue;
+            }
+            out[k] = (int64_t)(m0 >> 32);
+            out[k + 1] = (int64_t)(m1 >> 32);
+            k += 2;
+        }
+    }
+    for (; k < size; k++)
+        out[k] = (int64_t)bounded(&g, rng);
+    *gp = g;
+}
+
 /* Draw `size` steps for n agents in _draw_block's order: every i in
  * [0, n), then every j in [0, n - 1) moved past its i, then every eps in
  * [0, 1). n >= 2. `st` holds the generator state in and out as
@@ -147,12 +193,11 @@ void kinex_draw(uint64_t *st, int64_t n, int64_t size, int64_t *ii, int64_t *jj,
 {
     pcg64 g = {((u128)st[0] << 64) | st[1], ((u128)st[2] << 64) | st[3],
                st[4] != 0, (uint32_t)st[5]};
+    fill_bounded(&g, (uint64_t)n - 1u, size, ii);
+    fill_bounded(&g, (uint64_t)n - 2u, size, jj);
+    /* a pass of its own: in the paired loop gcc makes this compare a branch */
     for (int64_t k = 0; k < size; k++)
-        ii[k] = (int64_t)bounded(&g, (uint64_t)n - 1u);
-    for (int64_t k = 0; k < size; k++) {
-        const int64_t j = (int64_t)bounded(&g, (uint64_t)n - 2u);
-        jj[k] = j + (j >= ii[k]);
-    }
+        jj[k] += jj[k] >= ii[k];
     for (int64_t k = 0; k < size; k++)
         ee[k] = (double)(next_uint64(&g) >> 11) * (1.0 / 9007199254740992.0);
     st[0] = (uint64_t)(g.state >> 64);

@@ -24,7 +24,9 @@ references any faster kernel must match bit for bit. Seed 0 is legal.
 Backends: ``_kernel.c`` holds a C loop that does :func:`_exchange`'s float
 operations in the same order (choosing the poorer side with masks instead
 of a branch), a C reproduction of :func:`_draw_block`'s numpy algorithms
-and a C count of ``metrics._tau_counts``' pairs. :func:`_load_kernel`
+(which draws a 32-bit bound two values per 64-bit word, and one at a time
+where numpy's rejection test may apply) and a C count of
+``metrics._tau_counts``' pairs. :func:`_load_kernel`
 builds it with the system ``gcc`` into a per-user cache. The C draws must
 give :func:`_draw_block`'s values and generator state on a fixed probe
 each time the library is loaded. Runs and tau take the C backend when it
@@ -45,6 +47,7 @@ import functools
 import math
 import numbers
 import os
+import sys
 import threading
 import warnings
 from dataclasses import dataclass
@@ -362,14 +365,19 @@ def _resolve_backend() -> _Backend:
     """The C kernel when it is cached or can be built, else the Python reference.
 
     Resolved once per process, on first use. The fallback gives the same
-    results about ten times slower, so it warns once, with the reason.
+    results about ten times slower, so it warns once, with the reason, at
+    the first caller outside kinex.
     """
     try:
         return _load_backend("c")
     except (OSError, RuntimeError) as exc:
+        # name the first caller outside kinex, whichever kinex function got here first
+        package, frame, level = os.path.dirname(__file__), sys._getframe(), 1
+        while frame.f_back and os.path.dirname(frame.f_code.co_filename) == package:
+            frame, level = frame.f_back, level + 1
         warnings.warn(f"the C exchange kernel is unavailable ({exc}); running the "
                       "Python reference, which gives the same results more slowly",
-                      RuntimeWarning, stacklevel=2)
+                      RuntimeWarning, stacklevel=level)
         return _load_backend("python")
 
 

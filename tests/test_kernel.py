@@ -262,6 +262,84 @@ class TestDraws:
         assert len(caught) == 1
 
 
+# n = 3 * 2**30: Lemire's excl is 3 * 2**30 and its threshold 2**30, so a 32-bit
+# draw is rejected a quarter of the time (leftover < 2**30) and is a false alarm
+# of the paired fast check half the time (2**30 <= leftover < excl)
+REJECTING_N = 3 * 2**30
+
+
+def assert_c_draws_equal_draw_block(c_backend, want, got, n, sizes):
+    """Draw a block of each size from ``want`` by _draw_block and from ``got``
+    by the C draws: the same values and dtypes, and the same state dict."""
+    buffers = _DrawBuffers()
+    for size in sizes:
+        for w, g in zip(_draw_block(want, n, size), c_backend.draw(got, n, size, buffers)):
+            assert w.dtype == g.dtype and w.tobytes() == g.tobytes(), sizes
+        assert got.bit_generator.state == want.bit_generator.state, sizes
+
+
+def first_rejection(seed, n, size):
+    """Where numpy's Lemire test first rejects among the first ``size`` i draws
+    of a fresh generator (None if nowhere), and the leftovers of the 32-bit
+    words next_uint32 hands out, low half first, which are exact up to there."""
+    words = np.random.default_rng(seed).bit_generator.random_raw((size + 1) // 2)
+    halves = np.stack([words & 0xFFFFFFFF, words >> 32], axis=1).ravel()[:size]
+    leftovers = (halves * np.uint64(n)) & 0xFFFFFFFF
+    rejected = np.flatnonzero(leftovers < (2**32 - n) % n)
+    return (int(rejected[0]) if rejected.size else None), leftovers
+
+
+class TestPairedDraws:
+    """The C draws take both 32-bit halves of a word at once for a 32-bit bound
+    and hand a pair with a low leftover, a spare half-word and an odd tail to
+    the scalar path; each seam must give _draw_block's values and state."""
+
+    def test_often_rejecting_bound(self, c_backend):
+        for seed, sizes in itertools.product(range(24), [(1000, 1001), (2, 4097), (1, 2)]):
+            want, got = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert_c_draws_equal_draw_block(c_backend, want, got, REJECTING_N, sizes)
+
+    @pytest.mark.parametrize("where", ["first pair", "last pair", "high half only"])
+    def test_rejection_at_a_seam(self, c_backend, where):
+        size = 16
+
+        def lands(seed):
+            at, leftovers = first_rejection(seed, REJECTING_N, size)
+            if at is None:
+                return False
+            if where == "first pair":
+                return at < 2
+            if where == "last pair":
+                return at >= size - 2
+            # the low half of its pair passes even the fast check
+            return at % 2 == 1 and leftovers[at - 1] >= REJECTING_N
+
+        seed = next(seed for seed in range(10_000) if lands(seed))
+        for sizes in [(size, 3), (size, size)]:
+            want, got = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert_c_draws_equal_draw_block(c_backend, want, got, REJECTING_N, sizes)
+
+    @pytest.mark.parametrize("n", (3, 1000, REJECTING_N))
+    def test_even_block_entered_with_a_spare_half_word(self, c_backend, n):
+        # a spare of 0 has leftover 0, which every one of these bounds rejects
+        for seed, spare in itertools.product(range(8), (0, 1, 2**31, 2**32 - 1)):
+            want, got = np.random.default_rng(seed), np.random.default_rng(seed)
+            for rng in (want, got):
+                state = rng.bit_generator.state
+                state["has_uint32"], state["uinteger"] = 1, spare
+                rng.bit_generator.state = state
+            assert_c_draws_equal_draw_block(c_backend, want, got, n, (4, 2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(min_value=3, max_value=2**32 - 2),
+           seed=st.integers(min_value=0, max_value=2**64 - 1),
+           sizes=st.tuples(st.integers(min_value=1, max_value=64),
+                           st.integers(min_value=1, max_value=64)))
+    def test_paired_draws_equal_draw_block(self, c_backend, n, seed, sizes):
+        want, got = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert_c_draws_equal_draw_block(c_backend, want, got, n, sizes)
+
+
 @pytest.fixture
 def fresh_resolution():
     """Forget the resolved backend, so the test's environment decides; then again."""
@@ -308,6 +386,17 @@ class TestBackendSelection:
                 for t, a in result.snapshots.items()} == snapshot_digests
         assert float.hex(result.cumulative_pool) == pool_hex
         assert not no_compiler.exists()
+
+    @pytest.mark.parametrize("call", [
+        lambda: run_simulation(SimulationParams(n_agents=10, saving_rate=0.5,
+                                                surplus_rate=0.5, t_max=100)),
+        lambda: run_sweep(SweepSpec(lambda_values=(0.5,), gamma_values=(0.5,), n_agents=10,
+                                    t_max=100, replicates=2), workers=1),
+    ], ids=["run_simulation", "run_sweep"])
+    def test_fallback_warning_names_the_caller(self, no_compiler, call):
+        with pytest.warns(RuntimeWarning, match="no gcc on PATH") as caught:
+            call()
+        assert [w.filename for w in caught] == [__file__]
 
     def test_unwritable_cache_falls_back(self, c_backend, fresh_resolution,
                                          tmp_path, monkeypatch):
