@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import exchange
+from . import _backend
 from .errors import DegenerateDataError
 
 
@@ -133,7 +133,7 @@ def kendall_tau(assets_t1, assets_t2) -> float:
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("kendall_tau requires finite assets")
     n_pairs = x.size * (x.size - 1) // 2
-    discordant, ties_x, ties_y, ties_both = exchange._resolve_backend().tau_counts(x, y)
+    discordant, ties_x, ties_y, ties_both = _backend._resolve_backend().tau_counts(x, y)
     comparable = n_pairs - ties_x - ties_y + ties_both
     if comparable == 0:
         warnings.warn("all agent pairs are tied; tau defined as 0", stacklevel=2)

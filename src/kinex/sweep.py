@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _backend
 from .errors import ConfigError
-from .exchange import (RunResult, SimulationParams, _is_integer, _resolve_backend,
-                       _reuse_draw_buffers, run_simulation)
+from .exchange import RunResult, SimulationParams, _is_integer, run_simulation
 from .metrics import gini, kendall_tau, total_exchange
 
 
@@ -156,10 +156,9 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SweepCell]:
                                f"failed: {str(exc) or type(exc).__name__}") from exc
 
     # once here: concurrent first calls would race to build the kernel and could warn twice
-    _resolve_backend()
-    # each worker draws all its runs into one set of buffers, freed as the pool's threads exit
+    _backend._resolve_backend()
     with ThreadPoolExecutor(max_workers=min(_resolve_workers(workers), len(jobs)),
-                            initializer=_reuse_draw_buffers) as pool:
+                            initializer=_backend._reuse_draw_buffers) as pool:
         # a failed job ends the map, which cancels the jobs not yet started
         outcomes = list(pool.map(replicate_metrics, *zip(*jobs)))
 

@@ -32,10 +32,11 @@ from hypothesis import strategies as st
 
 import test_exchange
 import test_metrics
-from kinex import (SimulationParams, SweepSpec, exchange, kendall_tau, run_simulation,
-                   run_sweep)
+from kinex import (SimulationParams, SweepSpec, _backend, exchange, kendall_tau,
+                   run_simulation, run_sweep)
 from kinex.cli import main
-from kinex.exchange import _CHUNK, _DrawBuffers, _draw_block, _load_backend, _resolve_backend
+from kinex._backend import _DrawBuffers, _load_backend, _resolve_backend
+from kinex.exchange import _CHUNK, _draw_block
 from test_exchange import REPLAY_CASES, replay_one_step_at_a_time
 from test_golden import RUN_GOLDENS, SWEEP_CONFIG, SWEEP_CSV_SHA256
 
@@ -66,7 +67,7 @@ def backend(request):
 
 def on(backend):
     """Make kinex take ``backend`` for runs and tau, as if it had resolved it."""
-    return mock.patch("kinex.exchange._resolve_backend", lambda: backend)
+    return mock.patch("kinex._backend._resolve_backend", lambda: backend)
 
 
 def run_with(backend, params: SimulationParams):
@@ -236,7 +237,7 @@ class TestDraws:
 
         def run_and_peek(params):
             result = run_simulation(params)
-            seen.append(getattr(exchange._thread_draws, "buffers", None))
+            seen.append(getattr(_backend._thread_draws, "buffers", None))
             return result
 
         monkeypatch.setattr("kinex.sweep.run_simulation", run_and_peek)
@@ -397,6 +398,18 @@ class TestBackendSelection:
         with pytest.warns(RuntimeWarning, match="no gcc on PATH") as caught:
             call()
         assert [w.filename for w in caught] == [__file__]
+
+    def test_fallback_warning_under_python_m_names_cli(self, no_compiler, tmp_path):
+        # cli.py runs as __main__ from inside the package; the walk must stop there
+        (tmp_path / "tiny.json").write_text(json.dumps({"simulate": {"n_agents": 10,
+                                                                     "t_max": 100}}))
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-m", "kinex.cli", "simulate", "--config",
+                               "tiny.json", "--out", "out"], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.startswith(f"{SRC / 'kinex' / 'cli.py'}:"), done.stderr
 
     def test_unwritable_cache_falls_back(self, c_backend, fresh_resolution,
                                          tmp_path, monkeypatch):
