@@ -10,9 +10,9 @@ where numpy's rejection test may apply) and a C count of
 and generator state on a fixed probe each time the library is loaded. Runs
 and tau take the C backend when it is cached or can be built and passes the
 probe, and the Python references otherwise, with one warning. Only the draws,
-the loop body, the asset container (a list, or a float64 array for C) and the
-tau pair counts depend on the backend, and the results are bit-identical. The
-backend is resolved once per process on first use, never at import.
+the loop body and the tau pair counts depend on the backend, and the results
+are bit-identical. The backend is resolved once per process on first use,
+never at import.
 """
 
 import functools
@@ -73,7 +73,6 @@ class _Backend(NamedTuple):
     name: str             # "c" or "python"
     exchange: Callable    # the loop body, with the signature of exchange._exchange
     draw: Callable        # (rng, n, size, _DrawBuffers) -> the arrays of _draw_block
-    container: Callable   # list of initial assets -> the container it updates
     tau_counts: Callable  # (x, y) float64 vectors -> the pair counts of metrics._tau_counts
 
 
@@ -167,7 +166,7 @@ def _load_kernel() -> _Backend:
         tau_kernel(x.ctypes.data, y.ctypes.data, x.size, work.ctypes.data, out.ctypes.data)
         return tuple(out.tolist())
 
-    return _Backend("c", exchange, draw, np.array, tau_counts)
+    return _Backend("c", exchange, draw, tau_counts)
 
 
 def _check_draws(draw: Callable, draw_block: Callable) -> None:
@@ -195,7 +194,7 @@ def _load_backend(name: str) -> _Backend:
         _check_draws(backend.draw, exchange._draw_block)
         return backend
     return _Backend("python", exchange._exchange,
-                    lambda rng, n, size, buffers: exchange._draw_block(rng, n, size), list,
+                    lambda rng, n, size, buffers: exchange._draw_block(rng, n, size),
                     metrics._tau_counts)
 
 

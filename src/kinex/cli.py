@@ -128,7 +128,8 @@ def _write_table(out_dir: Path, stem: str, columns: list[str], rows: Iterable[Se
 def _write_json(out_dir: Path, name: str, payload: dict) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)  # RFC 8259 JSON
+    path.write_text(text + "\n", encoding="utf-8")
     return path
 
 
@@ -322,6 +323,8 @@ def cmd_empirical(args, config: dict, out_dir: Path, fmt: str) -> int:
             thresholds = (float(thresholds[0]), float(thresholds[1]))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"thresholds must be numbers, got {thresholds!r}") from exc
+        if not all(map(math.isfinite, thresholds)):
+            raise ConfigError(f"thresholds must be finite, got {list(thresholds)}")
         thresholds_source = "explicit"
     try:
         classified = classify_groups(derived, thresholds)

@@ -16,10 +16,9 @@ by PCG64, seeded with the run seed. :func:`_draw_block` defines the stream:
 fixed blocks of ``_BLOCK`` steps (pair indices i, then offsets j, then
 epsilons), so a given (seed, t_max) always sees the same stream regardless
 of snapshot schedule. ``_BLOCK`` and that draw order are part of the
-reproducibility contract; where a block is split, at snapshot times and
-in ``_CHUNK``-step pieces in :func:`_exchange`, is not. :func:`_exchange`
-is the one definition of the rule and its float operations. Both are the
-references any faster kernel must match bit for bit. Seed 0 is legal.
+reproducibility contract; where snapshots split a block is not. The rule
+and its float operations have one definition, :func:`_exchange`. Both are
+the references any faster kernel must match bit for bit. Seed 0 is legal.
 """
 
 from __future__ import annotations
@@ -37,11 +36,6 @@ from . import _backend
 # loop free of generator calls. Part of the reproducibility contract:
 # changing it changes golden outputs.
 _BLOCK = 1 << 17
-
-# Steps that _exchange copies from the draws into lists at a time, which
-# bounds the memory of those copies; the C kernel takes each segment whole.
-# Not part of the contract: any value gives the same outputs.
-_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -112,6 +106,8 @@ class RunResult:
     params: SimulationParams
 
     def __post_init__(self):
+        if not math.isfinite(self.cumulative_pool):
+            raise ValueError(f"the run overflowed: cumulative_pool is {self.cumulative_pool}")
         if self.cumulative_pool < 0:
             raise ValueError("cumulative_pool must be non-negative")
 
@@ -131,9 +127,9 @@ def _draw_block(rng: np.random.Generator, n: int,
     return ii, jj, ee
 
 
-def _exchange(assets: list, ii: np.ndarray, jj: np.ndarray, ee: np.ndarray,
+def _exchange(assets: np.ndarray, ii: np.ndarray, jj: np.ndarray, ee: np.ndarray,
               saving_rate: float, surplus_rate: float, cumulative: float) -> float:
-    """Apply the exchanges (ii[k], jj[k], ee[k]) in order to ``assets``, in place.
+    """Apply the exchanges (ii[k], jj[k], ee[k]) in order to float64 ``assets``, in place.
 
     Returns ``cumulative`` plus each step's pool, added left to right. New
     values are sums of non-negative terms, so assets never go negative.
@@ -142,23 +138,22 @@ def _exchange(assets: list, ii: np.ndarray, jj: np.ndarray, ee: np.ndarray,
     gam = surplus_rate
     oml = 1.0 - lam
     keep = oml * (1.0 - gam)  # the richer side's withheld share of the gap
-    for lo in range(0, len(ii), _CHUNK):
-        chunk = slice(lo, lo + _CHUNK)
-        for i, j, eps, fps in zip(ii[chunk].tolist(), jj[chunk].tolist(),
-                                  ee[chunk].tolist(), (1.0 - ee[chunk]).tolist()):
-            mi = assets[i]
-            mj = assets[j]
-            if mi <= mj:
-                gap = mj - mi
-                pool = oml * (2.0 * mi + gam * gap)
-                assets[i] = lam * mi + eps * pool
-                assets[j] = lam * mj + keep * gap + fps * pool
-            else:
-                gap = mi - mj
-                pool = oml * (2.0 * mj + gam * gap)
-                assets[i] = lam * mi + keep * gap + eps * pool
-                assets[j] = lam * mj + fps * pool
-            cumulative += pool
+    m = assets.tolist()
+    for i, j, eps in zip(memoryview(ii), memoryview(jj), memoryview(ee)):
+        mi = m[i]
+        mj = m[j]
+        if mi <= mj:
+            gap = mj - mi
+            pool = oml * (2.0 * mi + gam * gap)
+            m[i] = lam * mi + eps * pool
+            m[j] = lam * mj + keep * gap + (1.0 - eps) * pool
+        else:
+            gap = mi - mj
+            pool = oml * (2.0 * mj + gam * gap)
+            m[i] = lam * mi + keep * gap + eps * pool
+            m[j] = lam * mj + (1.0 - eps) * pool
+        cumulative += pool
+    assets[:] = m
     return cumulative
 
 
@@ -176,7 +171,7 @@ def run_simulation(params: SimulationParams) -> RunResult:
     backend = _backend._resolve_backend()
     buffers = _backend._draw_buffers()
 
-    assets = backend.container([params.initial_asset] * n)
+    assets = np.full(n, params.initial_asset)
     snapshots: dict[int, np.ndarray] = {}
     snap_iter = iter(params.snapshot_times)
     next_snap = next(snap_iter, t_max + 1)  # t_max + 1 = "none left"
@@ -197,7 +192,7 @@ def run_simulation(params: SimulationParams) -> RunResult:
                                           cumulative)
             t = stop
             if t == next_snap:
-                snapshots[t] = np.array(assets)
+                snapshots[t] = assets.copy()
                 next_snap = next(snap_iter, t_max + 1)
 
     return RunResult(snapshots=snapshots, cumulative_pool=cumulative, params=params)

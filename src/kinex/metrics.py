@@ -169,6 +169,8 @@ def gamma_fit(assets) -> GammaFit:
         raise ValueError("gamma_fit needs a 1-d vector of length >= 2")
     if not np.all(np.isfinite(a)) or np.any(a <= 0):
         raise ValueError("gamma_fit requires strictly positive, finite entries")
+    if a.max() > np.sqrt(np.finfo(float).max / a.size):  # checked before numpy squares them
+        raise ValueError("gamma_fit: entries this large overflow the sample moments")
     mean = float(a.mean())
     var = float(a.var())
     if var <= 0.0:

@@ -110,6 +110,27 @@ class TestSimulate:
         assert sum(int(r["count"]) for r in rows) == 1000
         assert (out / "snapshots" / "1000.csv").exists()
 
+    @pytest.mark.parametrize("initial_asset, t_max", [(1e304, 200_000), (1e308, 2000)])
+    def test_overflowing_run_exits_one_before_any_table(self, tmp_path, capsys,
+                                                        initial_asset, t_max):
+        cfg = write_config(tmp_path, {"simulate": {"n_agents": 10, "t_max": t_max,
+                                                   "initial_asset": initial_asset}})
+        out = tmp_path / "o"
+        assert run_cli(["simulate", "--config", cfg, "--out", str(out)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("kinex: ") and "overflow" in line
+        assert [p.name for p in out.iterdir()] == ["resolved_config.json"]
+
+    def test_overflowing_moments_leave_gamma_cells_empty(self, tmp_path):
+        cfg = write_config(tmp_path, {"simulate": {"n_agents": 10, "t_max": 2000,
+                                                   "initial_asset": 1e159}})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert not [w for w in caught if "overflow" in str(w.message)]
+        rows = read_rows(tmp_path / "o" / "gamma_fits.csv")
+        assert rows and all(r["shape"] == r["scale"] == "" for r in rows)
+
     def test_zero_surplus_long_run_concentrates(self, tmp_path):
         cfg = write_config(tmp_path, {
             "simulate": {"n_agents": 1000, "saving_rate": 0.4, "surplus_rate": 0.0,
@@ -416,6 +437,7 @@ class TestConfigHandling:
                          "replicates_true.json": 3, "true_g.json": 2}
     BAD_INPUTS = [
         (["empirical", "--thresholds", "650,450"], {}),
+        (["empirical", "--thresholds", "400,inf"], {}),
         (["fit", "--table", "missing.csv"], {}),
         (["fit", "--table", "bad_row.csv"], {}),
         (["sweep", "--config", "sweep.json"], {"KINEX_THREADS": "abc"}),

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,48 +6,52 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kinex import SimulationParams, gamma_fit, gini, run_simulation, total_exchange
-from kinex.exchange import _BLOCK, _CHUNK, _draw_block, _exchange
+from kinex import RunResult, SimulationParams, gamma_fit, gini, run_simulation, total_exchange
+from kinex.exchange import _BLOCK, _draw_block, _exchange
 
 assets_st = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 unit_st = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
-def exchange_once(mi, mj, lam, gam, eps):
-    """One exchange of agent 0 (i) with agent 1 (j); returns (new_mi, new_mj, pool)."""
-    assets = [mi, mj]
-    pool = _exchange(assets, np.array([0]), np.array([1]), np.array([eps]), lam, gam, 0.0)
-    return assets[0], assets[1], pool
+def exchange_once(exchange, mi, mj, lam, gam, eps):
+    """One exchange of agent 0 (i) with agent 1 (j) by the loop body ``exchange``,
+    over a float64 array; returns (new_mi, new_mj, pool)."""
+    assets = np.array([mi, mj], dtype=np.float64)
+    pool = exchange(assets, np.array([0], np.int64), np.array([1], np.int64),
+                    np.array([eps], np.float64), lam, gam, 0.0)
+    return float(assets[0]), float(assets[1]), pool
 
 
-def exchange_step_tests(exchange_once):
-    """Tests of one step of a loop body, given as ``exchange_once``.
+def exchange_step_tests(exchange):
+    """Tests of one step of the loop body ``exchange``, which has the signature
+    of ``_exchange``.
 
     Hypothesis holds each ``@given`` test to one test class, so every loop
     body gets a class of its own.
     """
+    step = functools.partial(exchange_once, exchange)
 
     class TestExchangeStep:
         def test_equal_assets_no_saving_splits_evenly(self):
-            assert exchange_once(1.0, 1.0, 0.0, 0.0, 0.5) == (1.0, 1.0, 2.0)
+            assert step(1.0, 1.0, 0.0, 0.0, 0.5) == (1.0, 1.0, 2.0)
 
         def test_poorer_loses_whole_stake_when_epsilon_zero(self):
             # lam=0.25, gamma=0: each side stakes 0.75, all of it goes to j
-            new_mi, new_mj, pool = exchange_once(1.0, 3.0, 0.25, 0.0, 0.0)
+            new_mi, new_mj, pool = step(1.0, 3.0, 0.25, 0.0, 0.0)
             assert pool == pytest.approx(1.5, rel=1e-15)
             assert new_mi == pytest.approx(0.25, rel=1e-15)
             assert new_mj == pytest.approx(3.75, rel=1e-15)
 
         def test_richer_stakes_full_surplus_at_gamma_one(self):
             # richer stakes 0.5*6=3, poorer 1; i takes the whole pool
-            new_mi, new_mj, pool = exchange_once(2.0, 6.0, 0.5, 1.0, 1.0)
+            new_mi, new_mj, pool = step(2.0, 6.0, 0.5, 1.0, 1.0)
             assert pool == pytest.approx(4.0, rel=1e-15)
             assert new_mi == pytest.approx(5.0, rel=1e-15)
             assert new_mj == pytest.approx(3.0, rel=1e-15)
 
         @given(mi=assets_st, mj=assets_st, lam=unit_st, gam=unit_st, eps=unit_st)
         def test_conserves_and_stays_non_negative(self, mi, mj, lam, gam, eps):
-            new_mi, new_mj, pool = exchange_once(mi, mj, lam, gam, eps)
+            new_mi, new_mj, pool = step(mi, mj, lam, gam, eps)
             assert new_mi >= 0.0
             assert new_mj >= 0.0
             assert pool >= 0.0
@@ -58,15 +63,15 @@ def exchange_step_tests(exchange_once):
             # rounding error scales with the pair total, not the (possibly
             # near-zero) individual shares, so tolerate relative to mi + mj
             tol = 1e-12 * (mi + mj + 1.0)
-            fwd_i, fwd_j, _ = exchange_once(mi, mj, lam, gam, eps)
-            rev_i, rev_j, _ = exchange_once(mj, mi, lam, gam, 1.0 - eps)
+            fwd_i, fwd_j, _ = step(mi, mj, lam, gam, eps)
+            rev_i, rev_j, _ = step(mj, mi, lam, gam, 1.0 - eps)
             assert rev_i == pytest.approx(fwd_j, abs=tol)
             assert rev_j == pytest.approx(fwd_i, abs=tol)
 
         @given(mi=assets_st, mj=assets_st, lam=unit_st, eps=unit_st)
         def test_gamma_zero_matches_poorer_surplus_rule(self, mi, mj, lam, eps):
             tol = 1e-12 * (mi + mj + 1.0)
-            new_mi, _, out_pool = exchange_once(mi, mj, lam, 0.0, eps)
+            new_mi, _, out_pool = step(mi, mj, lam, 0.0, eps)
             m_p = min(mi, mj)
             pool = 2.0 * (1.0 - lam) * m_p
             assert out_pool == pytest.approx(pool, abs=tol)
@@ -76,7 +81,7 @@ def exchange_step_tests(exchange_once):
         @given(mi=assets_st, mj=assets_st, lam=unit_st, eps=unit_st)
         def test_gamma_one_matches_full_surplus_rule(self, mi, mj, lam, eps):
             tol = 1e-12 * (mi + mj + 1.0)
-            new_mi, _, out_pool = exchange_once(mi, mj, lam, 1.0, eps)
+            new_mi, _, out_pool = step(mi, mj, lam, 1.0, eps)
             pool = (1.0 - lam) * (mi + mj)
             assert out_pool == pytest.approx(pool, abs=tol)
             expect_i = lam * mi + eps * pool
@@ -85,7 +90,7 @@ def exchange_step_tests(exchange_once):
     return TestExchangeStep
 
 
-TestExchangeStep = exchange_step_tests(exchange_once)
+TestExchangeStep = exchange_step_tests(_exchange)
 
 
 class TestSamplePair:
@@ -171,12 +176,12 @@ def replay_one_step_at_a_time(params: SimulationParams) -> tuple[dict, float]:
     """Reference run: the same draw blocks, one ``_exchange`` call per tick.
 
     It checks every step against the snapshot times itself, so it shares
-    none of the chunk and snapshot segmentation of a run.
+    none of the snapshot segmentation of a run.
     """
     lam, gam = params.saving_rate, params.surplus_rate
     rng = np.random.default_rng(params.seed)
-    assets = [params.initial_asset] * params.n_agents
-    snapshots = {0: np.array(assets)} if 0 in params.snapshot_times else {}
+    assets = np.full(params.n_agents, params.initial_asset)
+    snapshots = {0: assets.copy()} if 0 in params.snapshot_times else {}
     cumulative = 0.0
     t = 0
     while t < params.t_max:
@@ -187,20 +192,24 @@ def replay_one_step_at_a_time(params: SimulationParams) -> tuple[dict, float]:
                                    lam, gam, cumulative)
             t += 1
             if t in params.snapshot_times:
-                snapshots[t] = np.array(assets)
+                snapshots[t] = assets.copy()
     return snapshots, cumulative
 
 
-# (n, lambda, gamma, t_max, snapshot times): a short run, then chunk and
-# block boundaries, one step either side of them, time 0 and the extreme rates
+# a step count well inside one block, so that runs cross it a few times
+SPAN = 4096
+
+# (n, lambda, gamma, t_max, snapshot times): a short run, then multiples of
+# SPAN and block boundaries, one step either side of them, time 0 and the
+# extreme rates
 REPLAY_CASES = [
     (7, 0.3, 0.6, 123, (123,)),
-    (2, 0.0, 0.0, 2 * _CHUNK + 3, (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3)),
-    (2, 1.0, 1.0, _CHUNK + 1, (_CHUNK + 1,)),
-    (13, 0.0, 1.0, 3 * _CHUNK, (_CHUNK, 2 * _CHUNK - 1, 3 * _CHUNK)),
-    (9, 1.0, 0.0, _CHUNK - 1, (0, _CHUNK - 1)),
-    (50, 0.25, 0.5, _BLOCK + _CHUNK + 2,
-     (_BLOCK - 1, _BLOCK, _BLOCK + 1, _BLOCK + _CHUNK, _BLOCK + _CHUNK + 2)),
+    (2, 0.0, 0.0, 2 * SPAN + 3, (0, 1, SPAN - 1, SPAN, SPAN + 1, 2 * SPAN + 3)),
+    (2, 1.0, 1.0, SPAN + 1, (SPAN + 1,)),
+    (13, 0.0, 1.0, 3 * SPAN, (SPAN, 2 * SPAN - 1, 3 * SPAN)),
+    (9, 1.0, 0.0, SPAN - 1, (0, SPAN - 1)),
+    (50, 0.25, 0.5, _BLOCK + SPAN + 2,
+     (_BLOCK - 1, _BLOCK, _BLOCK + 1, _BLOCK + SPAN, _BLOCK + SPAN + 2)),
 ]
 
 
@@ -238,7 +247,7 @@ class TestRunSimulation:
     @pytest.mark.parametrize("n, lam, gam, t_max, snaps", REPLAY_CASES,
                              ids=[f"n{c[0]}-lam{c[1]}-gam{c[2]}-T{c[3]}" for c in REPLAY_CASES])
     def test_run_loop_replays_through_exchange_step(self, n, lam, gam, t_max, snaps):
-        # cutting blocks at snapshots and into chunks must not change a bit
+        # cutting blocks at snapshots must not change a bit
         p = SimulationParams(n_agents=n, saving_rate=lam, surplus_rate=gam,
                              t_max=t_max, seed=11, snapshot_times=snaps)
         result = run_simulation(p)
@@ -247,6 +256,19 @@ class TestRunSimulation:
         for t in snaps:
             assert result.snapshots[t].tobytes() == snapshots[t].tobytes(), t
         assert float.hex(cumulative) == float.hex(result.cumulative_pool)
+
+    @pytest.mark.parametrize("initial_asset, t_max", [(1e304, 200_000), (1e308, 10)])
+    def test_overflowing_run_raises(self, initial_asset, t_max):
+        p = SimulationParams(n_agents=10, saving_rate=0.25, surplus_rate=0.5,
+                             initial_asset=initial_asset, t_max=t_max)
+        with pytest.raises(ValueError, match="overflow"):
+            run_simulation(p)
+
+    @pytest.mark.parametrize("pool", [math.inf, math.nan])
+    def test_result_rejects_a_pool_that_is_not_finite(self, pool):
+        p = SimulationParams(n_agents=10, saving_rate=0.25, surplus_rate=0.5)
+        with pytest.raises(ValueError, match="overflow"):
+            RunResult(snapshots={}, cumulative_pool=pool, params=p)
 
     def test_population_stays_non_negative(self):
         p = SimulationParams(n_agents=100, saving_rate=0.0, surplus_rate=0.0,

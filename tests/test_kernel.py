@@ -36,8 +36,8 @@ from kinex import (SimulationParams, SweepSpec, _backend, exchange, kendall_tau,
                    run_simulation, run_sweep)
 from kinex.cli import main
 from kinex._backend import _DrawBuffers, _load_backend, _resolve_backend
-from kinex.exchange import _CHUNK, _draw_block
-from test_exchange import REPLAY_CASES, replay_one_step_at_a_time
+from kinex.exchange import _draw_block
+from test_exchange import REPLAY_CASES, SPAN, replay_one_step_at_a_time
 from test_golden import RUN_GOLDENS, SWEEP_CONFIG, SWEEP_CSV_SHA256
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -85,7 +85,7 @@ rate_st = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_va
 
 @st.composite
 def run_params(draw):
-    t_max = draw(st.integers(min_value=1, max_value=3 * _CHUNK + 5))
+    t_max = draw(st.integers(min_value=1, max_value=3 * SPAN + 5))
     times = draw(st.sets(st.integers(min_value=0, max_value=t_max), max_size=5))
     return SimulationParams(
         n_agents=draw(st.integers(min_value=2, max_value=40)),
@@ -133,16 +133,13 @@ class TestParity:
         assert float.hex(result.cumulative_pool) == pool_hex
 
 
-def c_exchange_once(mi, mj, lam, gam, eps):
-    """test_exchange's exchange_once on the C loop, over a float64 array."""
-    assets = np.array([mi, mj], dtype=np.float64)
-    pool = load_c_backend().exchange(assets, np.array([0], np.int64), np.array([1], np.int64),
-                                     np.array([eps], np.float64), lam, gam, 0.0)
-    return float(assets[0]), float(assets[1]), pool
+def c_exchange(*args):
+    """The C loop, loaded (or the test skipped) at its first call."""
+    return load_c_backend().exchange(*args)
 
 
 # test_exchange's hand-computed steps and properties, on the C loop
-TestExchangeStep = test_exchange.exchange_step_tests(c_exchange_once)
+TestExchangeStep = test_exchange.exchange_step_tests(c_exchange)
 
 
 def assert_counts_agree(c_backend, x, y):

@@ -228,3 +228,5 @@ class TestGammaFit:
             gamma_fit([1.0, 0.0])
         with pytest.raises(ValueError):
             gamma_fit([1.0])
+        with pytest.raises(ValueError, match="overflow"):
+            gamma_fit([1e200, 3e200])
