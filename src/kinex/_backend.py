@@ -5,14 +5,14 @@ operations in the same order (choosing the poorer side with masks instead of
 a branch), a C reproduction of ``exchange._draw_block``'s numpy algorithms
 (which draws a 32-bit bound two values per 64-bit word, and one at a time
 where numpy's rejection test may apply) and a C count of
-``metrics._tau_counts``' pairs. :func:`_load_kernel` builds it with the system
-``gcc`` into a per-user cache. The C draws must give ``_draw_block``'s values
-and generator state on a fixed probe each time the library is loaded. Runs
-and tau take the C backend when it is cached or can be built and passes the
-probe, and the Python references otherwise, with one warning. Only the draws,
-the loop body and the tau pair counts depend on the backend, and the results
-are bit-identical. The backend is resolved once per process on first use,
-never at import.
+``metrics._tau_counts``' pairs. :func:`_c_backend` builds it with the system
+``gcc`` into a per-user cache and returns it only if its draws give
+``_draw_block``'s values and generator state on a fixed probe; ctypes checks
+the dtype, dimension and layout of each array handed to C.
+:func:`_python_backend` returns the references. Runs and tau take the C
+backend when it loads, else the Python references with one warning; only the
+draws, the loop body and the tau pair counts differ, and the results are
+bit-identical. The backend is resolved once per process on first use.
 """
 
 import functools
@@ -76,13 +76,15 @@ class _Backend(NamedTuple):
     tau_counts: Callable  # (x, y) float64 vectors -> the pair counts of metrics._tau_counts
 
 
-def _load_kernel() -> _Backend:
-    """The ``"c"`` backend: ``_kernel.c``, built into the cache first if it is not there.
+def _c_backend() -> _Backend:
+    """The ``"c"`` backend: ``_kernel.c``, built into the cache first if it is not
+    there, whose draws have passed :func:`_check_draws`.
 
     The library is keyed by the SHA-256 of the source, the flags and the platform,
     and compiled to a temporary file renamed into place, so processes may build at
     once. Build modules are imported here to keep ``import kinex`` cheap. Raises
-    OSError when there is no ``gcc``, the build fails or the cache is unwritable.
+    OSError when there is no ``gcc``, the build fails or the cache is unwritable,
+    and RuntimeError when there is no home directory or the draws fail the probe.
     """
     import ctypes
     import hashlib
@@ -113,25 +115,24 @@ def _load_kernel() -> _Backend:
         except BaseException:
             os.unlink(tmp)
             raise
+    # ctypes refuses, with ArgumentError, any array whose memory C would misread
+    i64, f64 = (np.ctypeslib.ndpointer(t, ndim=1, flags="C_CONTIGUOUS")
+                for t in (np.int64, np.float64))
     library = ctypes.CDLL(str(path))
     kernel = library.kinex_exchange
     kernel.restype = ctypes.c_double
-    kernel.argtypes = (ctypes.c_void_p,) * 4 + (ctypes.c_int64,) + (ctypes.c_double,) * 3
+    kernel.argtypes = (f64, i64, i64, f64, ctypes.c_int64) + (ctypes.c_double,) * 3
     draw_kernel = library.kinex_draw
     draw_kernel.restype = None
-    draw_kernel.argtypes = ((ctypes.POINTER(ctypes.c_uint64),) + (ctypes.c_int64,) * 2
-                            + (ctypes.c_void_p,) * 3)
+    draw_kernel.argtypes = (ctypes.POINTER(ctypes.c_uint64), ctypes.c_int64, ctypes.c_int64,
+                            i64, i64, f64)
     tau_kernel = library.kinex_tau_counts
     tau_kernel.restype = None
-    tau_kernel.argtypes = (ctypes.c_void_p,) * 2 + (ctypes.c_int64,) + (ctypes.c_void_p,) * 2
+    tau_kernel.argtypes = (f64, f64, ctypes.c_int64, i64, i64)
 
     def exchange(assets: np.ndarray, ii: np.ndarray, jj: np.ndarray, ee: np.ndarray,
                  saving_rate: float, surplus_rate: float, cumulative: float) -> float:
-        # the kernel reads raw memory; _draw_block's slices are contiguous
-        if not (ii.dtype == jj.dtype == np.int64 and ee.dtype == assets.dtype == np.float64):
-            raise TypeError("the C exchange kernel needs int64 ii/jj and float64 ee/assets")
-        return kernel(assets.ctypes.data, ii.ctypes.data, jj.ctypes.data, ee.ctypes.data,
-                      len(ii), saving_rate, surplus_rate, cumulative)
+        return kernel(assets, ii, jj, ee, len(ii), saving_rate, surplus_rate, cumulative)
 
     def draw(rng: np.random.Generator, n: int, size: int,
              buffers: _DrawBuffers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -149,23 +150,23 @@ def _load_kernel() -> _Backend:
             words = (ctypes.c_uint64 * 6)(*divmod(pcg["state"], 1 << 64),  # high word first
                                           *divmod(pcg["inc"], 1 << 64),
                                           state["has_uint32"], state["uinteger"])
-            draw_kernel(words, n, size, ii.ctypes.data, jj.ctypes.data, ee.ctypes.data)
+            draw_kernel(words, n, size, ii, jj, ee)
             pcg["state"] = words[0] << 64 | words[1]
             state["has_uint32"], state["uinteger"] = words[4], words[5]
             bitgen.state = state
         return ii, jj, ee
 
     def tau_counts(x: np.ndarray, y: np.ndarray) -> tuple[int, int, int, int]:
-        # the kernel reads raw memory: contiguous float64 vectors of one length
         x = np.ascontiguousarray(x, dtype=np.float64)
         y = np.ascontiguousarray(y, dtype=np.float64)
-        if not (x.ndim == y.ndim == 1 and x.size == y.size >= 2):
-            raise ValueError("the C tau counts need two 1-d vectors of one length >= 2")
-        work = np.empty(2 * x.size, np.int64)
+        if not x.size == y.size >= 2:  # the kernel reads y as far as x
+            raise ValueError("the C tau counts need two vectors of one length >= 2")
         out = np.empty(4, np.int64)
-        tau_kernel(x.ctypes.data, y.ctypes.data, x.size, work.ctypes.data, out.ctypes.data)
+        tau_kernel(x, y, x.size, np.empty(2 * x.size, np.int64), out)
         return tuple(out.tolist())
 
+    from .exchange import _draw_block  # here: exchange imports this module
+    _check_draws(draw, _draw_block)
     return _Backend("c", exchange, draw, tau_counts)
 
 
@@ -184,15 +185,9 @@ def _check_draws(draw: Callable, draw_block: Callable) -> None:
                 raise RuntimeError(f"its draws differ from numpy's at n={n}")
 
 
-def _load_backend(name: str) -> _Backend:
-    """The ``"python"`` reference, or the ``"c"`` kernel, which raises
-    OSError or RuntimeError (no home directory) when it cannot be built,
-    and RuntimeError when its draws fail :func:`_check_draws`."""
+def _python_backend() -> _Backend:
+    """The ``"python"`` backend: the references in ``exchange`` and ``metrics``."""
     from . import exchange, metrics  # here: both import this module
-    if name == "c":
-        backend = _load_kernel()
-        _check_draws(backend.draw, exchange._draw_block)
-        return backend
     return _Backend("python", exchange._exchange,
                     lambda rng, n, size, buffers: exchange._draw_block(rng, n, size),
                     metrics._tau_counts)
@@ -207,7 +202,7 @@ def _resolve_backend() -> _Backend:
     the first caller outside kinex.
     """
     try:
-        return _load_backend("c")
+        return _c_backend()
     except (OSError, RuntimeError) as exc:
         # name the first caller outside kinex.* (`python -m kinex.cli` runs as __main__)
         frame, level = sys._getframe(), 1
@@ -216,4 +211,4 @@ def _resolve_backend() -> _Backend:
         warnings.warn(f"the C exchange kernel is unavailable ({exc}); running the "
                       "Python reference, which gives the same results more slowly",
                       RuntimeWarning, stacklevel=level)
-        return _load_backend("python")
+        return _python_backend()

@@ -27,7 +27,7 @@ import sys
 from collections.abc import Iterable, Sequence
 from pathlib import Path
 
-from .empirical import (classify_groups, derive, fit_groups, load_countries,
+from .empirical import (_csv_rows, classify_groups, derive, fit_groups, load_countries,
                         percentile_thresholds)
 from .errors import ConfigError, DegenerateDataError, KinexError, ParseError
 from .exchange import SimulationParams, _is_integer, run_simulation
@@ -149,9 +149,7 @@ def read_sweep_table(path: str | Path) -> list[SweepCell]:
             raise ParseError(f"not a JSON sweep table: {exc!r}", 1) from None
     else:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            lines = [(reader.line_num, row) for row in reader
-                     if row and not row[0].startswith("#")]
+            lines = _csv_rows(fh)
     (header_line, header), *rows = lines or [(1, [])]
     if any(column in header[:k] for k, column in enumerate(header)):
         raise ParseError(f"repeated column name in {header}", header_line)
@@ -210,6 +208,7 @@ def cmd_simulate(args, config: dict, out_dir: Path, fmt: str) -> int:
     _write_json(out_dir, "resolved_config.json", config)
 
     result = run_simulation(params)
+    final_gini, flow, tau = run_indexes(result, t1, t2)  # before any table: it may overflow
 
     snap_dir = out_dir / "snapshots"
     gini_rows = []
@@ -231,8 +230,6 @@ def cmd_simulate(args, config: dict, out_dir: Path, fmt: str) -> int:
     _write_table(out_dir, "gini_series", ["t", "gini"], gini_rows, fmt)
     _write_table(out_dir, "gamma_fits", ["t", "n_positive", "shape", "scale"],
                  gamma_rows, fmt)
-
-    final_gini, flow, tau = run_indexes(result, t1, t2)
     _write_json(out_dir, "summary.json", {
         "cumulative_pool": result.cumulative_pool,
         "total_exchange": flow,

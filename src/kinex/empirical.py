@@ -84,6 +84,14 @@ def _parse_cell(raw: str, column: str, lo: float, hi: float,
     return value
 
 
+def _csv_rows(lines) -> list[tuple[int, list[str]]]:
+    """The rows of CSV text that are neither blank nor comments (a first cell
+    starting with ``#`` after blanks), each with the file line it ends on."""
+    reader = csv.reader(lines)
+    return [(reader.line_num, row) for row in reader
+            if row and not row[0].lstrip().startswith("#")]
+
+
 def load_countries(source) -> list[CountryRecord]:
     """Parse country records from a path or an open text stream.
 
@@ -95,16 +103,11 @@ def load_countries(source) -> list[CountryRecord]:
         # utf-8-sig drops the byte-order mark that spreadsheet programs write
         with open(source, newline="", encoding="utf-8-sig") as fh:
             source = fh.readlines()
-    rows = csv.reader(source)
-    header = None
-    line_number = 0
-    for line_number, row in enumerate(rows, start=1):
-        if not row or (row[0].lstrip().startswith("#")):
-            continue
-        header = [cell.strip().lower() for cell in row]
-        break
-    if header is None:
-        raise ParseError("missing header row", max(line_number, 1))
+    rows = _csv_rows(source)
+    if not rows:
+        raise ParseError("missing header row", 1)
+    (line_number, header), *rows = rows
+    header = [cell.strip().lower() for cell in header]
 
     indices: dict[str, int] = {}
     for pos, name in enumerate(header):
@@ -119,9 +122,7 @@ def load_countries(source) -> list[CountryRecord]:
         raise ParseError(f"missing required column(s): {', '.join(missing_cols)}", line_number)
 
     records: list[CountryRecord] = []
-    for line_number, row in enumerate(rows, start=line_number + 1):
-        if not row or row[0].lstrip().startswith("#"):
-            continue
+    for line_number, row in rows:
         if len(row) < len(header):
             raise ParseError(f"expected {len(header)} cells, got {len(row)}", line_number)
         name = row[indices["country"]].strip()

@@ -48,6 +48,8 @@ def gini(assets) -> float:
     if total <= 0.0:
         raise DegenerateDataError("gini is undefined for an all-zero vector")
     n = a.size
+    if not np.isfinite(2.0 * n * total):
+        raise ValueError(f"gini would overflow: n * sum(assets) is {n} * {total}")
     ranks = np.arange(1, n + 1, dtype=float)
     return float(2.0 * (ranks * r).sum() / (n * total) - (n + 1) / n)
 

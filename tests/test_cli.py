@@ -110,10 +110,12 @@ class TestSimulate:
         assert sum(int(r["count"]) for r in rows) == 1000
         assert (out / "snapshots" / "1000.csv").exists()
 
-    @pytest.mark.parametrize("initial_asset, t_max", [(1e304, 200_000), (1e308, 2000)])
-    def test_overflowing_run_exits_one_before_any_table(self, tmp_path, capsys,
+    # the last case runs without overflowing, but n * sum(assets) overflows gini
+    @pytest.mark.parametrize("n_agents, initial_asset, t_max",
+                             [(10, 1e304, 200_000), (10, 1e308, 2000), (1000, 1e305, 100)])
+    def test_overflowing_run_exits_one_before_any_table(self, tmp_path, capsys, n_agents,
                                                         initial_asset, t_max):
-        cfg = write_config(tmp_path, {"simulate": {"n_agents": 10, "t_max": t_max,
+        cfg = write_config(tmp_path, {"simulate": {"n_agents": n_agents, "t_max": t_max,
                                                    "initial_asset": initial_asset}})
         out = tmp_path / "o"
         assert run_cli(["simulate", "--config", cfg, "--out", str(out)]) == 1
@@ -193,6 +195,12 @@ class TestSweepAndFit:
         bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
         assert len(read_sweep_table(plain)) == 1
         assert read_sweep_table(bom) == read_sweep_table(plain)
+
+    def test_reader_skips_indented_comments(self, tmp_path):
+        # a first cell starting with '#' after blanks is a comment, as in a country table
+        table = tmp_path / "t.csv"
+        table.write_text("lambda,gamma,mean_g,mean_f,mean_tau\n  # a note\n0.2,0.5,0.5,0.4,0.1\n")
+        assert len(read_sweep_table(table)) == 1
 
     def test_reader_reports_file_lines_and_repeated_columns(self, tmp_path):
         header = "lambda,gamma,mean_g,mean_f,mean_tau"

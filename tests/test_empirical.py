@@ -77,6 +77,11 @@ class TestLoadCountries:
             load_text("country,f,g,lambda,gamma\nAustria,497,0.303,0.272,0.255\nX,oops,,,\n")
         assert err.value.line_number == 3
 
+    def test_row_after_a_two_line_name_reports_its_file_line(self):
+        with pytest.raises(ParseError) as err:
+            load_text('country,f,g,lambda,gamma\n"Korea,\nRep.",1,0.3,0.2,0.2\nB,abc,,,\n')
+        assert err.value.line_number == 4
+
     def test_short_row_reports_line(self):
         with pytest.raises(ParseError) as err:
             load_text("country,f,g,lambda,gamma\nAustria,497\n")

@@ -13,6 +13,7 @@ reference with one warning and the same digests, and nothing built at
 import.
 """
 
+import ctypes
 import functools
 import hashlib
 import itertools
@@ -35,20 +36,20 @@ import test_metrics
 from kinex import (SimulationParams, SweepSpec, _backend, exchange, kendall_tau,
                    run_simulation, run_sweep)
 from kinex.cli import main
-from kinex._backend import _DrawBuffers, _load_backend, _resolve_backend
+from kinex._backend import _c_backend, _DrawBuffers, _python_backend, _resolve_backend
 from kinex.exchange import _draw_block
 from test_exchange import REPLAY_CASES, SPAN, replay_one_step_at_a_time
 from test_golden import RUN_GOLDENS, SWEEP_CONFIG, SWEEP_CSV_SHA256
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-PYTHON = _load_backend("python")
+PYTHON = _python_backend()
 
 
 @functools.cache
 def load_c_backend():
     """Skip when there is no gcc and no cached kernel; any other build failure fails."""
     try:
-        return _load_backend("c")
+        return _c_backend()
     except (OSError, RuntimeError):
         if shutil.which("gcc") is None:
             pytest.skip("no gcc on PATH to build the C exchange kernel")
@@ -140,6 +141,22 @@ def c_exchange(*args):
 
 # test_exchange's hand-computed steps and properties, on the C loop
 TestExchangeStep = test_exchange.exchange_step_tests(c_exchange)
+
+
+class TestArrayContract:
+    @pytest.mark.parametrize("case", ["strided indices", "2-d assets", "float32 eps"])
+    def test_c_exchange_refuses_arrays_it_would_misread(self, c_backend, case):
+        ii, jj, ee = _draw_block(np.random.default_rng(3), 6, 20)
+        assets = np.ones(6)
+        if case == "strided indices":  # C would step through them as if contiguous
+            ii, jj, ee = ii[::2], jj[::2], ee[:10]
+        elif case == "2-d assets":
+            assets = assets.reshape(2, 3)
+        else:
+            ee = ee.astype(np.float32)
+        with pytest.raises(ctypes.ArgumentError):
+            c_backend.exchange(assets, ii, jj, ee, 0.5, 0.5, 0.0)
+        assert assets.tobytes() == np.ones(6).tobytes()
 
 
 def assert_counts_agree(c_backend, x, y):

@@ -62,6 +62,8 @@ class TestGini:
             gini([1.0, -0.5])
         with pytest.raises(ValueError):
             gini([1.0, float("nan")])
+        with pytest.raises(ValueError, match="overflow"):  # n * sum(assets) is not finite
+            gini(np.full(1000, 1e305))
 
 
 class TestTotalExchange:
