@@ -4,24 +4,32 @@
 operations in the same order (choosing the poorer side with masks instead of
 a branch), a C reproduction of ``exchange._draw_block``'s numpy algorithms
 (which draws a 32-bit bound two values per 64-bit word, and one at a time
-where numpy's rejection test may apply) and a C count of
-``metrics._tau_counts``' pairs. :func:`_c_backend` builds it with the system
-``gcc`` into a per-user cache and returns it only if its draws give
-``_draw_block``'s values and generator state on a fixed probe; ctypes checks
-the dtype, dimension and layout of each array handed to C.
-:func:`_python_backend` returns the references. Runs and tau take the C
-backend when it loads, else the Python references with one warning; only the
-draws, the loop body and the tau pair counts differ, and the results are
-bit-identical. The backend is resolved once per process on first use.
+where numpy's rejection test may apply), a C count of
+``metrics._tau_counts``' pairs and a C writer of :func:`_format_rows`' CSV
+rows. Its doubles take Schubfach's shortest digits (Giulietti 2020) in
+``repr``'s layout, without the paper's two-digit minimum: its ``s >= 100``
+guard and its ``10 * c`` path for subnormal significands ``c < 3`` are left
+out. :func:`_c_backend` builds the unit with the system ``gcc`` into a
+per-user cache and returns it only if its draws give ``_draw_block``'s
+values and generator state and its rows ``_format_rows``' bytes on fixed
+probes; ctypes checks the dtype, dimension, layout and, for the arrays C
+writes, writeability of each array handed to C.
+:func:`_python_backend` returns the references. Runs, tau and numeric tables
+take the C backend when it loads, else the Python references with one
+warning; only the draws, the loop body, the tau pair counts and the row
+formatting differ, and the results are bit-identical. The backend is
+resolved once per process on first use.
 """
 
+import csv
 import functools
+import io
 import os
 import sys
 import threading
 import warnings
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,21 +78,46 @@ def _draw_buffers() -> _DrawBuffers:
 
 
 class _Backend(NamedTuple):
-    name: str             # "c" or "python"
-    exchange: Callable    # the loop body, with the signature of exchange._exchange
-    draw: Callable        # (rng, n, size, _DrawBuffers) -> the arrays of _draw_block
-    tau_counts: Callable  # (x, y) float64 vectors -> the pair counts of metrics._tau_counts
+    name: str              # "c" or "python"
+    exchange: Callable     # the loop body, with the signature of exchange._exchange
+    draw: Callable         # (rng, n, size, _DrawBuffers) -> the arrays of _draw_block
+    tau_counts: Callable   # (x, y) float64 vectors -> the pair counts of metrics._tau_counts
+    format_rows: Callable  # int64 and float64 columns -> _format_rows' bytes, or a view of them
+
+
+def _format_rows(columns: Sequence[np.ndarray]) -> bytes:
+    """The rows of equal-length numpy columns as ``csv.writer`` writes them:
+    ``str`` of an int, ``repr`` of a float, ``,`` between cells and ``\\r\\n``
+    after each row."""
+    text = io.StringIO()
+    csv.writer(text).writerows(zip(*(column.tolist() for column in columns), strict=True))
+    return text.getvalue().encode()
+
+
+def _pow10_table() -> np.ndarray:
+    """Schubfach's table, in exact integers: for k in [-324, 292], the 126-bit
+    ``g = floor(10**-k * 2**-r) + 1`` with ``2**125 <= g < 2**126`` as its high
+    and low 64-bit words, then ``floor(log2(10**-k)) = r + 125`` modulo 2**64."""
+    table = np.empty((617, 3), np.uint64)
+    for row, k in enumerate(range(-324, 293)):
+        num, den = (10**-k, 1) if k <= 0 else (1, 10**k)  # 10**-k = num / den
+        b = num.bit_length() - den.bit_length()  # floor(log2(10**-k)) is b or b - 1
+        if num << max(0, -b) < den << max(0, b):
+            b -= 1
+        g = ((num << (125 - b)) // den if b <= 125 else num // (den << (b - 125))) + 1
+        table[row] = g >> 64, g & (2**64 - 1), b % 2**64
+    return table.ravel()
 
 
 def _c_backend() -> _Backend:
     """The ``"c"`` backend: ``_kernel.c``, built into the cache first if it is not
-    there, whose draws have passed :func:`_check_draws`.
+    there, whose draws have passed :func:`_check_draws` and rows :func:`_check_format`.
 
     The library is keyed by the SHA-256 of the source, the flags and the platform,
     and compiled to a temporary file renamed into place, so processes may build at
     once. Build modules are imported here to keep ``import kinex`` cheap. Raises
     OSError when there is no ``gcc``, the build fails or the cache is unwritable,
-    and RuntimeError when there is no home directory or the draws fail the probe.
+    and RuntimeError when there is no home directory or a probe fails.
     """
     import ctypes
     import hashlib
@@ -115,23 +148,32 @@ def _c_backend() -> _Backend:
         except BaseException:
             os.unlink(tmp)
             raise
-    # ctypes refuses, with ArgumentError, any array whose memory C would misread
-    i64, f64 = (np.ctypeslib.ndpointer(t, ndim=1, flags="C_CONTIGUOUS")
-                for t in (np.int64, np.float64))
+    # ctypes refuses, with ArgumentError, any array whose memory C would misread,
+    # and a read-only array where C writes
+    i64, f64, u64 = (np.ctypeslib.ndpointer(t, ndim=1, flags="C_CONTIGUOUS")
+                     for t in (np.int64, np.float64, np.uint64))
+    i64w, f64w, u8w = (np.ctypeslib.ndpointer(t, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
+                       for t in (np.int64, np.float64, np.uint8))
     library = ctypes.CDLL(str(path))
     kernel = library.kinex_exchange
     kernel.restype = ctypes.c_double
-    kernel.argtypes = (f64, i64, i64, f64, ctypes.c_int64) + (ctypes.c_double,) * 3
+    kernel.argtypes = (f64w, i64, i64, f64, ctypes.c_int64) + (ctypes.c_double,) * 3
     draw_kernel = library.kinex_draw
     draw_kernel.restype = None
     draw_kernel.argtypes = (ctypes.POINTER(ctypes.c_uint64), ctypes.c_int64, ctypes.c_int64,
-                            i64, i64, f64)
+                            i64w, i64w, f64w)
     tau_kernel = library.kinex_tau_counts
     tau_kernel.restype = None
-    tau_kernel.argtypes = (f64, f64, ctypes.c_int64, i64, i64)
+    tau_kernel.argtypes = (f64, f64, ctypes.c_int64, i64w, i64w)
+    format_kernel = library.kinex_format_rows
+    format_kernel.restype = ctypes.c_int64
+    format_kernel.argtypes = (u64,) + (ctypes.c_int64,) * 3 + (u64, u8w)
+    pow10 = _pow10_table()
 
     def exchange(assets: np.ndarray, ii: np.ndarray, jj: np.ndarray, ee: np.ndarray,
                  saving_rate: float, surplus_rate: float, cumulative: float) -> float:
+        if not len(ii) == len(jj) == len(ee):  # the kernel reads all three as far as ii
+            raise ValueError("the C exchange needs i, j and eps blocks of one length")
         return kernel(assets, ii, jj, ee, len(ii), saving_rate, surplus_rate, cumulative)
 
     def draw(rng: np.random.Generator, n: int, size: int,
@@ -165,9 +207,21 @@ def _c_backend() -> _Backend:
         tau_kernel(x, y, x.size, np.empty(2 * x.size, np.int64), out)
         return tuple(out.tolist())
 
+    def format_rows(columns: Sequence[np.ndarray]) -> memoryview:
+        if not 0 < len(columns) < 64 or any(column.ndim != 1 or column.dtype not in
+                                            (np.int64, np.float64) for column in columns):
+            raise TypeError("the C rows need 1 to 63 columns of int64 or float64")
+        floats = sum(1 << c for c, column in enumerate(columns) if column.dtype == np.float64)
+        n = len(columns[0])
+        buffer = np.empty(n * (25 * len(columns) + 1), np.uint8)  # 24 bytes per cell at most
+        cells = np.stack([column.view(np.uint64) for column in columns]).ravel()
+        # a view of the buffer, not a copy: a table's bytes exist once in memory
+        return memoryview(buffer)[:format_kernel(cells, n, len(columns), floats, pow10, buffer)]
+
     from .exchange import _draw_block  # here: exchange imports this module
     _check_draws(draw, _draw_block)
-    return _Backend("c", exchange, draw, tau_counts)
+    _check_format(format_rows, _format_rows)
+    return _Backend("c", exchange, draw, tau_counts, format_rows)
 
 
 def _check_draws(draw: Callable, draw_block: Callable) -> None:
@@ -185,12 +239,27 @@ def _check_draws(draw: Callable, draw_block: Callable) -> None:
                 raise RuntimeError(f"its draws differ from numpy's at n={n}")
 
 
+def _check_format(format_rows: Callable, reference: Callable) -> None:
+    """Raise RuntimeError unless ``format_rows`` writes the bytes of ``reference``
+    on one table of an int64 and a float64 column over the same bit patterns:
+    zeros, infinities, nan, the ends of the subnormals and of fixed notation,
+    two ties between 17-digit decimals, and their neighbours, in both signs."""
+    special = [0.0, np.inf, np.nan, 5e-324, 2.0**-1022, 1e-5, 1e-4, 1e16, 2.0**-25,
+               2.0**50 + 0.25, 1.7976931348623157e308]
+    # negated in Python: a first numpy negative or bitwise_or costs ~130 KiB of RSS
+    special = np.array(special + [-x for x in special]).view(np.uint64)
+    words = np.concatenate([special, special + 1, special - 1])
+    columns = (words.view(np.int64), words.view(np.float64))
+    if format_rows(columns) != reference(columns):
+        raise RuntimeError("its rows differ from csv.writer's")
+
+
 def _python_backend() -> _Backend:
-    """The ``"python"`` backend: the references in ``exchange`` and ``metrics``."""
+    """The ``"python"`` backend: the references in ``exchange``, ``metrics`` and here."""
     from . import exchange, metrics  # here: both import this module
     return _Backend("python", exchange._exchange,
                     lambda rng, n, size, buffers: exchange._draw_block(rng, n, size),
-                    metrics._tau_counts)
+                    metrics._tau_counts, _format_rows)
 
 
 @functools.cache

@@ -1,6 +1,6 @@
 /* Compiled loop body of kinex.exchange._exchange, the draws of
- * kinex.exchange._draw_block and the pair counts of
- * kinex.metrics._tau_counts.
+ * kinex.exchange._draw_block, the pair counts of kinex.metrics._tau_counts
+ * and the CSV rows of kinex._backend._format_rows.
  *
  * kinex_exchange does the same IEEE double operations as the Python
  * reference in the same order, so results are bit-identical. It is not a
@@ -22,6 +22,12 @@
  *
  * kinex_tau_counts counts the same pairs as _tau_counts by Knight's (1966)
  * merge sorts, in O(n log n) and in exact integers.
+ *
+ * kinex_format_rows writes int64 cells as str does and doubles as repr
+ * does: Schubfach's shortest round-trip digits (Giulietti 2020) in
+ * CPython's layout. It drops the paper's s >= 100 guard and its 10 * c
+ * path for subnormals c < 3, which keep Java's two-digit minimum. kinex
+ * checks it against _format_rows when it loads this library.
  */
 #include <stdint.h>
 #include <string.h>
@@ -279,4 +285,142 @@ void kinex_tau_counts(const double *x, const double *y, int64_t n, int64_t *work
     out[1] = ties_x;
     out[2] = ties_y;
     out[3] = ties_both;
+}
+
+/* floor(g * cp / 2**127), its last bit set when bits 64 to 126 of g * cp
+ * are not all 0, for g = hi * 2**64 + lo < 2**126: the paper's rounding to
+ * odd, which ignores the low bits where g's excess over 10**-k lies */
+static inline uint64_t rop(uint64_t hi, uint64_t lo, uint64_t cp)
+{
+    const u128 z = (u128)hi * cp + (((u128)lo * cp) >> 64); /* g * cp >> 64 */
+    return (uint64_t)(z >> 63) | (((uint64_t)z << 1) != 0);
+}
+
+/* Schubfach's digits of v = c * 2**q: of the decimals that read back as v,
+ * one with the fewest digits, and of those the closest to v (the even one
+ * on a tie), as f * 10**e (f may end in zeros), without the paper's s >= 100
+ * guard and c < 3 path, which turn 5e-324 into 4.9e-324. g holds, for each
+ * k in [-324, 292], the 126-bit floor(10**-k * 2**-r) + 1 as its high and
+ * low words, then floor(log2(10**-k)) = r + 125. */
+static uint64_t schubfach(int64_t q, uint64_t c, const uint64_t *g, int64_t *e)
+{
+    const uint64_t out = c & 1; /* an odd c rounds its interval's ends away */
+    const uint64_t cb = c << 2, cbr = cb + 2;
+    uint64_t cbl = cb - 2;
+    int64_t k = (q * 661971961083LL) >> 41; /* floor(log10(2**q)) */
+    if (c == 1ULL << 52 && q > -1074) { /* the gap below v is half the gap above */
+        cbl = cb - 1;
+        k = (q * 661971961083LL - 274743187321LL) >> 41; /* floor(log10(3/4 * 2**q)) */
+    }
+    const uint64_t *gk = g + 3 * (k + 324);
+    const int h = (int)(q + (int64_t)gk[2] + 2);
+    /* 4 * v / 10**k and its interval's ends, in round-to-odd fixed point */
+    const uint64_t vb = rop(gk[0], gk[1], cb << h);
+    const uint64_t vbl = rop(gk[0], gk[1], cbl << h), vbr = rop(gk[0], gk[1], cbr << h);
+    const uint64_t s = vb >> 2, t = s + 1;
+    /* at most one multiple of 10**(k + 1) lies in the interval */
+    const uint64_t sp = s / 10 * 10, tp = sp + 10;
+    const int upin = vbl + out <= sp << 2, wpin = (tp << 2) + out <= vbr;
+    *e = k;
+    if (upin != wpin)
+        return upin ? sp : tp;
+    const int uin = vbl + out <= s << 2, win = (t << 2) + out <= vbr;
+    if (uin != win)
+        return uin ? s : t;
+    const int64_t cmp = (int64_t)(vb - ((s + t) << 1));
+    return cmp < 0 || (cmp == 0 && (s & 1) == 0) ? s : t;
+}
+
+/* Write the decimal digits of u to p; return their number. */
+static int put_digits(char *p, uint64_t u)
+{
+    char d[20];
+    int n = 0;
+    do
+        d[20 - ++n] = (char)('0' + u % 10);
+    while (u /= 10);
+    memcpy(p, d + 20 - n, (size_t)n);
+    return n;
+}
+
+/* Write v as CPython's repr(v) does, at most 24 bytes; return the end. */
+static char *put_double(char *p, double v, const uint64_t *g)
+{
+    const uint64_t bits = bits_of(v), t = bits & ((1ULL << 52) - 1);
+    const int64_t bq = (int64_t)(bits >> 52) & 0x7FF;
+    if (bq == 0x7FF && t) {
+        memcpy(p, "nan", 3);
+        return p + 3;
+    }
+    if (bits >> 63)
+        *p++ = '-';
+    if (bq == 0x7FF || (bq == 0 && t == 0)) {
+        memcpy(p, bq ? "inf" : "0.0", 3);
+        return p + 3;
+    }
+    int64_t e;
+    uint64_t f = bq ? schubfach(bq - 1075, t | 1ULL << 52, g, &e) : schubfach(-1074, t, g, &e);
+    for (; f % 10 == 0; f /= 10)
+        e++;
+    char d[20];
+    const int n = put_digits(d, f);
+    const int64_t point = n + e; /* v = 0.d * 10**point */
+    if (point <= -4 || point > 16) { /* d[0].d[1:]e+XX */
+        *p++ = d[0];
+        if (n > 1) {
+            *p++ = '.';
+            memcpy(p, d + 1, (size_t)n - 1);
+            p += n - 1;
+        }
+        const int64_t x = point - 1;
+        *p++ = 'e';
+        *p++ = x < 0 ? '-' : '+';
+        if (x > -10 && x < 10) /* two exponent digits at least */
+            *p++ = '0';
+        return p + put_digits(p, (uint64_t)(x < 0 ? -x : x));
+    }
+    if (point <= 0) { /* 0.000d */
+        memcpy(p, "0.000", (size_t)(2 - point));
+        p += 2 - point;
+        memcpy(p, d, (size_t)n);
+        return p + n;
+    }
+    if (point < n) { /* d[:point].d[point:] */
+        memcpy(p, d, (size_t)point);
+        p[point] = '.';
+        memcpy(p + point + 1, d + point, (size_t)(n - point));
+        return p + n + 1;
+    }
+    memcpy(p, d, (size_t)n); /* d000.0 */
+    memset(p + n, '0', (size_t)(point - n));
+    memcpy(p + point, ".0", 2);
+    return p + point + 2;
+}
+
+/* Write n rows of ncols columns as csv.writer writes them: str of an int64
+ * cell, repr of a double cell, ',' between cells and "\r\n" after each
+ * row. Column c is cols[c * n : (c + 1) * n], doubles where bit c of
+ * float_cols is set, else int64s; g is schubfach's table. buf holds at
+ * least n * (25 * ncols + 1) bytes. Returns the length written. */
+int64_t kinex_format_rows(const uint64_t *cols, int64_t n, int64_t ncols, int64_t float_cols,
+                          const uint64_t *g, char *buf)
+{
+    char *p = buf;
+    for (int64_t r = 0; r < n; r++) {
+        for (int64_t c = 0; c < ncols; c++) {
+            const uint64_t cell = cols[c * n + r];
+            if (float_cols >> c & 1) {
+                p = put_double(p, double_of(cell), g);
+            } else if ((int64_t)cell < 0) {
+                *p++ = '-';
+                p += put_digits(p, -cell);
+            } else {
+                p += put_digits(p, cell);
+            }
+            *p++ = ',';
+        }
+        p[-1] = '\r';
+        *p++ = '\n';
+    }
+    return p - buf;
 }

@@ -27,6 +27,9 @@ import sys
 from collections.abc import Iterable, Sequence
 from pathlib import Path
 
+import numpy as np
+
+from . import _backend
 from .empirical import (_csv_rows, classify_groups, derive, fit_groups, load_countries,
                         percentile_thresholds)
 from .errors import ConfigError, DegenerateDataError, KinexError, ParseError
@@ -109,10 +112,14 @@ SWEEP_COLUMNS = {"lambda": "saving_rate", "gamma": "surplus_rate",
 _OPTIONAL_COLUMNS = {"std_g": 0.0, "std_f": 0.0, "std_tau": 0.0, "replicates": 1}
 
 
-def _write_table(out_dir: Path, stem: str, columns: list[str], rows: Iterable[Sequence],
-                 fmt: str) -> Path:
-    # rows hold plain Python values; "" is an empty cell in either format
+def _write_table(out_dir: Path, stem: str, columns: list[str],
+                 rows: Iterable[Sequence] | tuple[np.ndarray, ...], fmt: str) -> Path:
+    # rows hold plain Python values, "" being an empty cell in either format; a
+    # numeric table comes instead as a tuple of int64 and float64 numpy columns
+    numeric = isinstance(rows, tuple)
     if fmt == "json":
+        if numeric:
+            rows = zip(*(column.tolist() for column in rows))
         doc = {"schema": SCHEMA_COMMENT.lstrip("# "), "columns": columns, "rows": list(rows)}
         return _write_json(out_dir, f"{stem}.json", doc)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -121,7 +128,11 @@ def _write_table(out_dir: Path, stem: str, columns: list[str], rows: Iterable[Se
         fh.write(SCHEMA_COMMENT + "\n")
         writer = csv.writer(fh)
         writer.writerow(columns)
-        writer.writerows(rows)
+        if numeric:  # the bytes writerows would write, from the C unit when it loads
+            fh.flush()
+            fh.buffer.write(_backend._resolve_backend().format_rows(rows))
+        else:
+            writer.writerows(rows)
     return path
 
 
@@ -215,11 +226,11 @@ def cmd_simulate(args, config: dict, out_dir: Path, fmt: str) -> int:
     gamma_rows = []
     for t in snapshot_times:
         assets = result.snapshots[t]
-        _write_table(snap_dir, str(t), ["agent", "asset"], enumerate(assets.tolist()), fmt)
+        _write_table(snap_dir, str(t), ["agent", "asset"],
+                     (np.arange(assets.size, dtype=np.int64), assets), fmt)
         hist = histogram(assets, bins=bins)
         _write_table(out_dir, f"histogram_{t}", ["bin_lo", "bin_hi", "count"],
-                     zip(hist.bin_edges[:-1].tolist(), hist.bin_edges[1:].tolist(),
-                         hist.counts.tolist()), fmt)
+                     (hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts), fmt)
         gini_rows.append([t, gini(assets)])
         positive = assets[assets > 0.0]
         try:

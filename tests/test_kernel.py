@@ -1,16 +1,17 @@
 """The compiled exchange kernel against its references, and backend selection.
 
-``_kernel.c`` computes ``_exchange``'s step, reproduces ``_draw_block`` and
-counts ``metrics._tau_counts``' pairs. These tests hold its loop to the
-hand-computed steps and properties of test_exchange, its draws to
-``_draw_block``'s values and generator state in every bound regime of
-numpy's integer draws, its tau counts to the numpy ones, and its runs to
-the same bits on drawn runs, on the ``REPLAY_CASES`` of test_exchange and
-on the ``RUN_GOLDENS`` of test_golden, by handing kinex each backend in
-turn. They also pin how the backend is resolved: the C kernel whenever
-``gcc`` is on PATH and its draws pass the load-time probe, else the Python
-reference with one warning and the same digests, and nothing built at
-import.
+``_kernel.c`` computes ``_exchange``'s step, reproduces ``_draw_block``,
+counts ``metrics._tau_counts``' pairs and writes ``_format_rows``' CSV rows.
+These tests hold its loop to the hand-computed steps and properties of
+test_exchange, its draws to ``_draw_block``'s values and generator state in
+every bound regime of numpy's integer draws, its tau counts to the numpy
+ones, its rows to ``str`` and ``repr`` byte for byte, and its runs and
+``kinex simulate`` trees to the same bits on drawn runs, on the
+``REPLAY_CASES`` of test_exchange and on the ``RUN_GOLDENS`` of
+test_golden, by handing kinex each backend in turn. They also pin how the
+backend is resolved: the C kernel whenever ``gcc`` is on PATH and its draws
+and rows pass the load-time probes, else the Python reference with one
+warning and the same digests, and nothing built at import.
 """
 
 import ctypes
@@ -157,6 +158,120 @@ class TestArrayContract:
         with pytest.raises(ctypes.ArgumentError):
             c_backend.exchange(assets, ii, jj, ee, 0.5, 0.5, 0.0)
         assert assets.tobytes() == np.ones(6).tobytes()
+
+    def test_c_exchange_refuses_blocks_of_unequal_length(self, c_backend):
+        ii, jj, ee = _draw_block(np.random.default_rng(3), 6, 20)
+        assets = np.ones(6)
+        with pytest.raises(ValueError, match="one length"):  # C would read past eps
+            c_backend.exchange(assets, ii, jj, ee[:10], 0.5, 0.5, 0.0)
+        assert assets.tobytes() == np.ones(6).tobytes()
+
+    def test_c_exchange_refuses_read_only_assets(self, c_backend):
+        ii, jj, ee = _draw_block(np.random.default_rng(3), 6, 20)
+        assets = np.ones(6)
+        assets.flags.writeable = False  # C would update it in place
+        with pytest.raises(ctypes.ArgumentError):
+            c_backend.exchange(assets, ii, jj, ee, 0.5, 0.5, 0.0)
+        assert assets.tobytes() == np.ones(6).tobytes()
+
+
+def assert_rows_agree(c_backend, *columns):
+    assert c_backend.format_rows(columns) == PYTHON.format_rows(columns)
+
+
+def both_ways(words) -> tuple[np.ndarray, np.ndarray]:
+    """64-bit patterns as an int64 and a float64 column."""
+    words = np.asarray(words, dtype=np.uint64)
+    return words.view(np.int64), words.view(np.float64)
+
+
+def with_neighbours(x: np.ndarray) -> np.ndarray:
+    """x, and the doubles just below and just above each of its values."""
+    return np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
+
+
+class TestFormat:
+    """The C rows against csv.writer's: str of each int64, repr of each double."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(words=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1,
+                          max_size=64))
+    def test_drawn_bit_patterns(self, c_backend, words):
+        assert_rows_agree(c_backend, *both_ways(words))
+
+    def test_powers_of_two_and_their_neighbours(self, c_backend):
+        x = with_neighbours(np.ldexp(1.0, np.arange(-1074, 1024)))
+        assert_rows_agree(c_backend, np.concatenate([x, -x]))
+
+    def test_subnormals(self, c_backend):
+        rng = np.random.default_rng(0)
+        words = np.concatenate([np.arange(1, 50_001), 2**52 - np.arange(1, 50_001),
+                                rng.integers(1, 2**52, 50_000)])
+        assert_rows_agree(c_backend, *both_ways(words))
+
+    def test_powers_of_ten_and_their_neighbours(self, c_backend):
+        # 1e-05 and 1e+16 take the exponent form, 0.0001 and 1000000000000000.0 not
+        x = with_neighbours(np.array([float(f"1e{k}") for k in range(-323, 309)]))
+        assert_rows_agree(c_backend, x)
+        assert c_backend.format_rows((np.array([1e-4, 1e-5, 1e15, 1e16]),)) == (
+            b"0.0001\r\n1e-05\r\n1000000000000000.0\r\n1e+16\r\n")
+
+    def test_zeros_infinities_and_nans(self, c_backend):
+        nans = both_ways([0x7FF0000000000001, 0xFFF8000000000000])[1]
+        x = np.concatenate([[0.0, -0.0, np.inf, -np.inf, np.nan], nans])
+        assert c_backend.format_rows((x,)) == b"0.0\r\n-0.0\r\ninf\r\n-inf\r\n" + b"nan\r\n" * 3
+        assert_rows_agree(c_backend, x)
+
+    def test_int64_extremes(self, c_backend):
+        ints = np.array([-2**63, 2**63 - 1, -1, 0, 10**18], np.int64)
+        assert c_backend.format_rows((ints,)) == (b"-9223372036854775808\r\n9223372036854775807"
+                                                  b"\r\n-1\r\n0\r\n1000000000000000000\r\n")
+        assert_rows_agree(c_backend, ints)
+
+    def test_histogram_shaped_table(self, c_backend):
+        # float, float, int columns, as kinex simulate writes each histogram
+        edges = np.linspace(0.0, 7.3, 51)
+        counts = np.random.default_rng(1).integers(0, 10**6, 50)
+        assert_rows_agree(c_backend, edges[:-1], edges[1:], counts)
+
+    def test_refuses_columns_it_cannot_write(self, c_backend):
+        for columns in [(), (np.arange(3, dtype=np.int32),), (np.ones(3, np.float32),),
+                        (np.ones((2, 2)),)]:
+            with pytest.raises(TypeError):
+                c_backend.format_rows(columns)
+        for backend in (c_backend, PYTHON):
+            with pytest.raises(ValueError):
+                backend.format_rows((np.ones(3), np.arange(4)))
+
+    def test_format_probe_mismatch_falls_back_once(self, c_backend, fresh_resolution,
+                                                   monkeypatch):
+        reference = _backend._format_rows
+
+        def java_digits(columns):  # the reference, with Java's two-digit minimum
+            return reference(columns).replace(b"5e-324", b"4.9e-324")
+
+        monkeypatch.setattr(_backend, "_format_rows", java_digits)
+        with pytest.warns(RuntimeWarning, match="rows differ from csv.writer's") as caught:
+            assert _resolve_backend().name == "python"
+            assert _resolve_backend().name == "python"
+        assert len(caught) == 1
+
+    def test_simulate_tree_is_the_same_on_both_backends(self, c_backend, tmp_path,
+                                                        monkeypatch):
+        # N=2000 and 21 snapshots (20 given, plus t1): 42 tables through format_rows
+        config = {"simulate": {"n_agents": 2000, "t_max": 20_000,
+                               "snapshot_times": list(range(1000, 20_001, 1000))}}
+        trees = {}
+        for backend in (c_backend, PYTHON):
+            (tmp_path / backend.name).mkdir()
+            monkeypatch.chdir(tmp_path / backend.name)
+            Path("config.json").write_text(json.dumps(config))
+            with on(backend):
+                assert main(["simulate", "--config", "config.json", "--out", "out"]) == 0
+            trees[backend.name] = {path.relative_to("out").as_posix(): path.read_bytes()
+                                   for path in Path("out").rglob("*") if path.is_file()}
+        assert len([name for name in trees["c"] if name.startswith("snapshots/")]) == 21
+        assert trees["c"] == trees["python"]
 
 
 def assert_counts_agree(c_backend, x, y):
