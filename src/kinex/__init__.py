@@ -7,26 +7,38 @@ parameter-sweep, regression, and country-data layers used to study the
 disparity/flow/turnover trade-off.
 """
 
-from .empirical import (CountryRecord, DerivedRecord, GroupFit, classify_groups,
-                        derive, fit_groups, load_countries, percentile_thresholds)
-from .errors import ConfigError, DegenerateDataError, KinexError, ParseError
-from .exchange import RunResult, SimulationParams, run_simulation
-from .fitting import (FitResult, XYPoint, fit_linear, flow_gini_ratio_points,
-                      tau_vs_flow_points)
-from .metrics import (GammaFit, Histogram, gamma_fit, gini, histogram,
-                      kendall_tau, total_exchange)
-from .sweep import SweepCell, SweepSpec, replicate_seed, run_sweep
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConfigError", "CountryRecord", "DegenerateDataError", "DerivedRecord",
-    "FitResult", "GammaFit", "GroupFit", "Histogram",
-    "KinexError", "ParseError", "RunResult", "SimulationParams",
-    "SweepCell", "SweepSpec", "XYPoint", "classify_groups", "derive",
-    "fit_groups", "fit_linear", "flow_gini_ratio_points",
-    "gamma_fit", "gini", "histogram", "kendall_tau",
-    "load_countries", "percentile_thresholds", "replicate_seed",
-    "run_simulation", "run_sweep", "tau_vs_flow_points",
-    "total_exchange",
-]
+# each public name -> the submodule that defines it. A name is imported on
+# first access (PEP 562), so ``import kinex`` loads no submodule, and the
+# analysis names (specs, fits, country data) never load numpy
+_SOURCES = {
+    "empirical": ("CountryRecord", "DerivedRecord", "GroupFit", "classify_groups", "derive",
+                  "fit_groups", "load_countries", "percentile_thresholds"),
+    "errors": ("ConfigError", "DegenerateDataError", "KinexError", "ParseError"),
+    "exchange": ("RunResult", "run_simulation"),
+    "fitting": ("FitResult", "XYPoint", "fit_linear", "flow_gini_ratio_points",
+                "tau_vs_flow_points"),
+    "metrics": ("GammaFit", "Histogram", "gamma_fit", "gini", "histogram", "kendall_tau",
+                "total_exchange"),
+    "params": ("SimulationParams", "SweepCell", "SweepSpec"),
+    "sweep": ("replicate_seed", "run_sweep"),
+}
+_MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later reads skip this function
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -26,18 +26,18 @@ import math
 import sys
 from collections.abc import Iterable, Sequence
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import _backend
+# numpy-free: fit and empirical never import numpy. simulate and sweep import
+# the model (exchange, metrics, sweep, numpy) when they run
 from .empirical import (_csv_rows, classify_groups, derive, fit_groups, load_countries,
                         percentile_thresholds)
 from .errors import ConfigError, DegenerateDataError, KinexError, ParseError
-from .exchange import SimulationParams, _is_integer, run_simulation
 from .fitting import fit_linear, flow_gini_ratio_points, tau_vs_flow_points
-from .metrics import gamma_fit, gini, histogram
-from .sweep import (SweepCell, SweepSpec, _resolve_workers, resolve_times, run_indexes,
-                    run_sweep)
+from .params import SimulationParams, SweepCell, SweepSpec, _is_integer, resolve_times
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _field_defaults(cls) -> dict:
@@ -82,6 +82,8 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ConfigError(f"config file {path} is nested too deeply to read") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     unknown = sorted(set(raw) - set(config))
@@ -129,6 +131,7 @@ def _write_table(out_dir: Path, stem: str, columns: list[str],
         writer = csv.writer(fh)
         writer.writerow(columns)
         if numeric:  # the bytes writerows would write, from the C unit when it loads
+            from . import _backend
             fh.flush()
             fh.buffer.write(_backend._resolve_backend().format_rows(rows))
         else:
@@ -156,7 +159,7 @@ def read_sweep_table(path: str | Path) -> list[SweepCell]:
         try:
             doc = json.loads(path.read_text(encoding="utf-8-sig"))
             lines = list(enumerate([list(doc["columns"]), *doc["rows"]], start=1))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
             raise ParseError(f"not a JSON sweep table: {exc!r}", 1) from None
     else:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -192,6 +195,12 @@ def read_sweep_table(path: str | Path) -> list[SweepCell]:
 
 
 def cmd_simulate(args, config: dict, out_dir: Path, fmt: str) -> int:
+    import numpy as np
+
+    from .exchange import run_simulation
+    from .metrics import gamma_fit, gini, histogram
+    from .sweep import run_indexes
+
     sim_cfg = config["simulate"]
     t_max = sim_cfg["t_max"]
     try:
@@ -255,6 +264,8 @@ def cmd_simulate(args, config: dict, out_dir: Path, fmt: str) -> int:
 
 
 def cmd_sweep(args, config: dict, out_dir: Path, fmt: str) -> int:
+    from .sweep import _resolve_workers, run_sweep
+
     sweep_cfg = config["sweep"]
     try:
         spec = SweepSpec(**sweep_cfg)

@@ -16,8 +16,6 @@ import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ParseError
 from .fitting import FitResult, XYPoint, fit_linear
 
@@ -88,8 +86,11 @@ def _csv_rows(lines) -> list[tuple[int, list[str]]]:
     """The rows of CSV text that are neither blank nor comments (a first cell
     starting with ``#`` after blanks), each with the file line it ends on."""
     reader = csv.reader(lines)
-    return [(reader.line_num, row) for row in reader
-            if row and not row[0].lstrip().startswith("#")]
+    try:
+        return [(reader.line_num, row) for row in reader
+                if row and not row[0].lstrip().startswith("#")]
+    except csv.Error as exc:  # a field over csv.field_size_limit(), say
+        raise ParseError(str(exc), reader.line_num) from None
 
 
 def load_countries(source) -> list[CountryRecord]:
@@ -170,10 +171,24 @@ def derive(records: list[CountryRecord]) -> tuple[list[DerivedRecord], list[Coun
 
 
 def percentile_thresholds(records: list[DerivedRecord]) -> tuple[float, float]:
-    """Default group thresholds: the 33rd and 67th percentiles of f over the records."""
-    fs = np.array([r.f for r in records])
-    lo, hi = np.percentile(fs, (33.0, 67.0))
-    return float(lo), float(hi)
+    """Default group thresholds: the 33rd and 67th percentiles of f over the records.
+
+    numpy's default (linear) percentile, bit for bit: the value at index
+    (n - 1) * q of the sorted f, interpolated between its neighbours a and b
+    as a + (b - a) * t below t = 0.5 and as b - (b - a) * (1 - t) from there.
+    """
+    fs = sorted(r.f for r in records)
+
+    def percentile(q: float) -> float:
+        index = (len(fs) - 1) * q
+        i = int(index)
+        if i >= len(fs) - 1:
+            return fs[-1]
+        a, b = fs[i], fs[i + 1]
+        t = index - i
+        return a + (b - a) * t if t < 0.5 else b - (b - a) * (1.0 - t)
+
+    return percentile(0.33), percentile(0.67)
 
 
 def classify_groups(records: list[DerivedRecord],

@@ -24,72 +24,18 @@ the references any faster kernel must match bit for bit. Seed 0 is legal.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _backend
+from .params import SimulationParams
 
 
 # Random draws are made in blocks of this many steps to keep the inner
 # loop free of generator calls. Part of the reproducibility contract:
 # changing it changes golden outputs.
 _BLOCK = 1 << 17
-
-
-@dataclass(frozen=True)
-class SimulationParams:
-    """Full specification of one simulation run.
-
-    ``t_max`` counts pairwise exchanges (one exchange per tick, not one
-    sweep of N exchanges). ``snapshot_times`` must be strictly ascending
-    integers in [0, t_max]; time 0 denotes the pre-exchange state.
-    """
-
-    n_agents: int
-    saving_rate: float
-    surplus_rate: float
-    initial_asset: float = 1.0
-    t_max: int = 100_000
-    seed: int = 0
-    snapshot_times: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if not _is_integer(self.n_agents) or self.n_agents < 2:
-            raise ValueError(f"n_agents must be an integer >= 2, got {self.n_agents!r}")
-        for name in ("saving_rate", "surplus_rate"):
-            value = getattr(self, name)
-            if not (_is_real(value) and 0.0 <= value <= 1.0):
-                raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
-        if not (_is_real(self.initial_asset) and math.isfinite(self.initial_asset)
-                and self.initial_asset > 0):
-            raise ValueError(f"initial_asset must be positive, got {self.initial_asset!r}")
-        if not _is_integer(self.t_max) or self.t_max < 1:
-            raise ValueError(f"t_max must be a positive integer, got {self.t_max!r}")
-        if not _is_integer(self.seed) or not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        snaps = tuple(self.snapshot_times)
-        for t in snaps:
-            if not _is_integer(t) or not 0 <= t <= self.t_max:
-                raise ValueError(f"snapshot time {t!r} outside [0, t_max]")
-        if any(a >= b for a, b in zip(snaps, snaps[1:])):
-            raise ValueError(f"snapshot_times must be strictly ascending: {snaps}")
-        for name in ("n_agents", "t_max", "seed"):
-            object.__setattr__(self, name, int(getattr(self, name)))
-        for name in ("saving_rate", "surplus_rate", "initial_asset"):  # so both backends
-            object.__setattr__(self, name, float(getattr(self, name)))  # compute in doubles
-        object.__setattr__(self, "snapshot_times", tuple(int(t) for t in snaps))
-
-
-def _is_integer(value) -> bool:
-    # numpy integers count; bool, although a subclass of int, does not
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    # int, float and numpy numbers count; bool does not
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -23,29 +23,15 @@ import hashlib
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import _backend
 from .errors import ConfigError
-from .exchange import RunResult, SimulationParams, _is_integer, run_simulation
+from .exchange import RunResult, run_simulation
 from .metrics import gini, kendall_tau, total_exchange
-
-
-def resolve_times(t_max: int, t1: int | None, t2: int | None) -> tuple[int, int]:
-    """Return (t1, t2); t2 defaults to t_max, t1 to round(0.99 * t_max) below t2.
-
-    Raises ValueError unless all three are integers with 0 <= t1 < t2 <= t_max.
-    """
-    if t2 is None:
-        t2 = t_max
-    if t1 is None and _is_integer(t_max) and _is_integer(t2):
-        t1 = min(round(0.99 * t_max), t2 - 1)
-    if not all(_is_integer(t) for t in (t_max, t1, t2)) or not 0 <= t1 < t2 <= t_max:
-        raise ValueError(f"need integers 0 <= t1 < t2 <= t_max, got t1={t1!r}, "
-                         f"t2={t2!r}, t_max={t_max!r}")
-    return int(t1), int(t2)
+# the specs live in numpy-free params; kinex.sweep still offers resolve_times with them
+from .params import SimulationParams, SweepCell, SweepSpec, resolve_times
 
 
 def run_indexes(result: RunResult, t1: int, t2: int) -> tuple[float, float, float]:
@@ -53,60 +39,6 @@ def run_indexes(result: RunResult, t1: int, t2: int) -> tuple[float, float, floa
     t2_assets = result.snapshots[t2]
     return (gini(t2_assets), total_exchange(result.cumulative_pool, result.params.t_max),
             kendall_tau(result.snapshots[t1], t2_assets))
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Grid definition; the defaults are those of ``kinex sweep``.
-
-    t1/t2 default as in :func:`resolve_times`. Each (lambda, gamma) must
-    make a valid :class:`SimulationParams` with the shared fields.
-    """
-
-    lambda_values: tuple[float, ...] = tuple(round(0.05 * k, 2) for k in range(1, 20))
-    gamma_values: tuple[float, ...] = (0.0, 0.1, 0.5, 1.0)
-    n_agents: int = 1000
-    t_max: int = 100_000
-    t1: int | None = None
-    t2: int | None = None
-    replicates: int = 5
-    base_seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "lambda_values", tuple(self.lambda_values))
-        object.__setattr__(self, "gamma_values", tuple(self.gamma_values))
-        if not self.lambda_values or not self.gamma_values:
-            raise ValueError("lambda_values and gamma_values must be non-empty")
-        t1, t2 = resolve_times(self.t_max, self.t1, self.t2)
-        object.__setattr__(self, "t1", t1)
-        object.__setattr__(self, "t2", t2)
-        if not _is_integer(self.replicates) or self.replicates < 1:
-            raise ValueError(f"replicates must be an integer >= 1, got {self.replicates!r}")
-        if not _is_integer(self.base_seed) or not 0 <= self.base_seed < 2**64:
-            raise ValueError(f"base_seed must be a 64-bit unsigned integer, got {self.base_seed!r}")
-        for lam in self.lambda_values:
-            for gam in self.gamma_values:
-                SimulationParams(n_agents=self.n_agents, saving_rate=lam, surplus_rate=gam,
-                                 t_max=self.t_max, snapshot_times=(t1, t2))
-
-
-@dataclass(frozen=True)
-class SweepCell:
-    """Replicate-aggregated metrics for one (lambda, gamma) grid point.
-
-    Standard deviations use the 1/R population normalization and are zero
-    when replicates == 1.
-    """
-
-    saving_rate: float
-    surplus_rate: float
-    mean_g: float
-    mean_f: float
-    mean_tau: float
-    std_g: float
-    std_f: float
-    std_tau: float
-    replicates: int
 
 
 def replicate_seed(base_seed: int, lambda_index: int, gamma_index: int,

@@ -1,14 +1,19 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
+import kinex
 from kinex import ParseError, SweepCell
 from kinex.cli import load_config, main, read_sweep_table
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 SMALL_SIM = {
     "simulate": {"n_agents": 120, "t_max": 3000, "seed": 11},
@@ -291,7 +296,7 @@ class TestSweepAndFit:
         assert len(cells) == 4
 
 
-@pytest.mark.parametrize("command, config, module", [("simulate", SMALL_SIM, "kinex.cli"),
+@pytest.mark.parametrize("command, config, module", [("simulate", SMALL_SIM, "kinex.exchange"),
                                                      ("sweep", SMALL_SWEEP, "kinex.sweep")])
 def test_failed_run_exits_one_without_traceback(tmp_path, monkeypatch, capsys,
                                                 command, config, module):
@@ -485,6 +490,33 @@ class TestConfigHandling:
         assert message.startswith(f"kinex: line {line}: ")
         assert not (tmp_path / "out").exists()
 
+    # inputs past a reader's limits: a CSV field longer than csv.field_size_limit()
+    # (131,072 characters), and JSON nested deeper than the recursion limit
+    DEEP_JSON = "[" * 100_000 + "]" * 100_000
+    OVERSIZED_INPUTS = [
+        (["empirical", "--data"], "long_name.csv",
+         "country,f,g,lambda,gamma\n" + "A" * 200_000 + ",1,0.3,0.2,0.2\n",
+         "kinex: line 2: field larger than field limit"),
+        (["fit", "--table"], "long_cell.csv",
+         "lambda,gamma,mean_g,mean_f,mean_tau\n0.2,0.5," + "3" * 200_000 + ",0.4,0.1\n",
+         "kinex: line 2: field larger than field limit"),
+        (["simulate", "--config"], "deep.json", DEEP_JSON, "kinex: config file "),
+        (["fit", "--table"], "deep.json", DEEP_JSON,
+         "kinex: line 1: not a JSON sweep table: RecursionError"),
+    ]
+
+    @pytest.mark.parametrize("argv, name, content, message", OVERSIZED_INPUTS,
+                             ids=[" ".join(argv) + f" {name}"
+                                  for argv, name, _, _ in OVERSIZED_INPUTS])
+    def test_oversized_input_exits_two_with_one_line(self, tmp_path, capsys, argv, name,
+                                                     content, message):
+        (tmp_path / name).write_text(content)
+        out = tmp_path / "out"
+        assert run_cli(argv + [str(tmp_path / name), "--out", str(out)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(message)
+        assert not out.exists()
+
     def test_config_with_byte_order_mark(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_bytes(b"\xef\xbb\xbf" + json.dumps(SMALL_SIM).encode())
@@ -527,3 +559,33 @@ class TestDeterminism:
             cfg = write_config(work, SMALL_SWEEP)
             assert run_cli(["sweep", "--config", cfg]) == 0
         assert _tree_bytes(tmp_path / "a" / "sweepout") == _tree_bytes(tmp_path / "b" / "sweepout")
+
+
+# each line runs in a fresh interpreter, which must end with no numpy module loaded
+NUMPY_FREE = {
+    "import": "import kinex; kinex.SimulationParams, kinex.SweepCell\n"
+              "assert set(kinex.__all__) <= set(dir(kinex))",
+    "help": "from kinex.cli import main; assert main(['--help']) == 0",
+    "fit": "from kinex.cli import main; assert main(['fit', '--table', 'table.csv']) == 0",
+    "empirical": "from kinex.cli import main; assert main(['empirical', '--data', {data!r}]) == 0",
+}
+
+
+@pytest.mark.parametrize("name", NUMPY_FREE)
+def test_analysis_never_imports_numpy(tmp_path, table1_path, name):
+    (tmp_path / "table.csv").write_text("lambda,gamma,mean_g,mean_f,mean_tau\n"
+                                        "0.2,0.5,0.5,0.4,0.1\n0.4,0.5,0.4,0.3,0.2\n")
+    code = (NUMPY_FREE[name].format(data=str(table1_path)) + "\nimport sys\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'numpy']\n"
+            "assert not loaded, loaded[:3]")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_star_import_gives_every_public_name():
+    names = {}
+    exec("from kinex import *", names)
+    assert set(kinex.__all__) <= set(names)
