@@ -115,16 +115,14 @@ def _c_backend() -> _Backend:
 
     The library is keyed by the SHA-256 of the source, the flags and the platform,
     and compiled to a temporary file renamed into place, so processes may build at
-    once. Build modules are imported here to keep ``import kinex`` cheap. Raises
-    OSError when there is no ``gcc``, the build fails or the cache is unwritable,
-    and RuntimeError when there is no home directory or a probe fails.
+    once. Load modules are imported here to keep ``import kinex`` cheap, and
+    build modules only on a cache miss. Raises OSError when there is no ``gcc``,
+    the build fails or the cache is unwritable, and RuntimeError when there is no
+    home directory or a probe fails.
     """
     import ctypes
     import hashlib
-    import shutil
-    import subprocess
     import sysconfig
-    import tempfile
 
     source = Path(__file__).with_name("_kernel.c").read_bytes()
     key = hashlib.sha256(b"\0".join([source, " ".join(_CFLAGS).encode(),
@@ -133,6 +131,10 @@ def _c_backend() -> _Backend:
     cache = (Path(xdg) if os.path.isabs(xdg) else Path.home() / ".cache") / "kinex"
     path = cache / f"exchange-{key[:16]}.so"
     if not path.exists():
+        import shutil
+        import subprocess
+        import tempfile
+
         gcc = shutil.which("gcc")
         if gcc is None:
             raise OSError("no gcc on PATH")

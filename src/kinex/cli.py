@@ -11,6 +11,10 @@ tables are plot-ready data (CSV by default, JSON via the output format
 selector); no images are rendered. This module owns the table format:
 ``_write_table`` writes every table and ``read_sweep_table`` reads sweeps back.
 
+The ``kinex`` command and ``python -m kinex.cli`` enter through ``run``,
+which calls ``main`` and then freezes the heap; ``main`` alone leaves the
+garbage collector as it found it.
+
 Exit codes: 0 success, 1 runtime/numeric failure, 2 usage/config failure.
 Same config + same seed always produce byte-identical output files,
 independent of the KINEX_THREADS worker cap and of the exchange backend.
@@ -21,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import gc
 import json
 import math
 import sys
@@ -462,5 +467,15 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> int:
+    """The ``kinex`` command: :func:`main`, then ``gc.freeze()``. Freezing moves
+    every live object into the permanent generation, so the collections the
+    interpreter runs while it finalizes modules have nothing to walk; atexit
+    handlers, module teardown and file flushing still run."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -1,6 +1,9 @@
+import gc
+import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -9,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import kinex
+import kinex.cli
 from kinex import ParseError, SweepCell
 from kinex.cli import load_config, main, read_sweep_table
 
@@ -589,3 +593,68 @@ def test_star_import_gives_every_public_name():
     names = {}
     exec("from kinex import *", names)
     assert set(kinex.__all__) <= set(names)
+
+
+def fresh_python(args, cwd):
+    """A fresh interpreter on ``src``, run to its exit."""
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+                          text=True)
+
+
+def python_m_kinex(args, cwd):
+    """``python -m kinex.cli ARGS``: the command's own exit path."""
+    return fresh_python(["-m", "kinex.cli", *args], cwd)
+
+
+class TestExitPath:
+    """``run`` freezes the heap after ``main``; exit codes and output must not notice."""
+
+    def test_simulate_exits_zero_with_its_whole_summary(self, tmp_path):
+        write_config(tmp_path, {"simulate": {"n_agents": 20, "t_max": 1000}}, "tiny.json")
+        done = python_m_kinex(["simulate", "--config", "tiny.json", "--out", "out"], tmp_path)
+        assert done.returncode == 0, done.stderr
+        (line,) = done.stdout.splitlines()
+        assert done.stdout == line + "\n"
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert line == (f"simulate: wrote 2 snapshots to out (f={summary['total_exchange']:.6g}, "
+                        f"tau={summary['kendall_tau']:.6g})")
+
+    def test_missing_config_exits_two_with_one_line(self, tmp_path):
+        done = python_m_kinex(["simulate", "--config", "missing.json"], tmp_path)
+        assert done.returncode == 2
+        (line,) = done.stderr.splitlines()
+        assert line.startswith("kinex: cannot read config file missing.json")
+        assert done.stdout == "" and list(tmp_path.iterdir()) == []
+
+    def test_fit_on_one_row_exits_one(self, tmp_path):
+        (tmp_path / "table.csv").write_text(
+            "lambda,gamma,mean_g,std_g,mean_f,std_f,mean_tau,std_tau,replicates\n"
+            "0.2,0.5,0.5,0,0.5,0,0.5,0,1\n")
+        done = python_m_kinex(["fit", "--table", "table.csv", "--out", "o"], tmp_path)
+        assert done.returncode == 1
+        assert done.stderr == ("fit: only 1 usable point(s) for the flow/gini ratio fit; "
+                               "need at least 2\n")
+
+    def test_main_leaves_the_collector_as_it_found_it(self, tmp_path, table1_path):
+        before = gc.get_freeze_count(), gc.isenabled()
+        assert run_cli(["empirical", "--data", str(table1_path),
+                        "--out", str(tmp_path / "o")]) == 0
+        assert run_cli(["simulate", "--config", str(tmp_path / "missing.json")]) == 2
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+    def test_run_freezes_and_atexit_still_runs(self, tmp_path):
+        code = ("import atexit, gc, runpy, sys\n"
+                "atexit.register(lambda: print('atexit', gc.get_freeze_count() > 0))\n"
+                "sys.argv = ['kinex', 'simulate', '--config', 'missing.json']\n"
+                "runpy.run_module('kinex.cli', run_name='__main__')\n")
+        done = fresh_python(["-c", code], tmp_path)
+        assert done.returncode == 2
+        assert done.stdout == "atexit True\n"
+
+    def test_console_script_enters_through_run(self):
+        text = (README.parent / "pyproject.toml").read_text()
+        (target,) = re.findall(r'^kinex = "([\w.]+:\w+)"$', text, re.MULTILINE)
+        module, name = target.split(":")
+        assert getattr(importlib.import_module(module), name) is kinex.cli.run

@@ -11,7 +11,8 @@ ones, its rows to ``str`` and ``repr`` byte for byte, and its runs and
 test_golden, by handing kinex each backend in turn. They also pin how the
 backend is resolved: the C kernel whenever ``gcc`` is on PATH and its draws
 and rows pass the load-time probes, else the Python reference with one
-warning and the same digests, and nothing built at import.
+warning and the same digests, nothing built at import and no build module
+loaded from a warm cache.
 """
 
 import ctypes
@@ -563,6 +564,20 @@ class TestBackendSelection:
         assert _resolve_backend().name == "c"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["home"]
         assert len(list((tmp_path / "home" / ".cache" / "kinex").iterdir())) == 1
+
+    def test_warm_cache_loads_no_build_module(self, c_backend, tmp_path):
+        # the c_backend fixture has built the kernel into this environment's cache
+        code = ("import sys\nfrom kinex import _backend\nfrom kinex.cli import main\n"
+                "assert _backend._resolve_backend().name == 'c'\n"
+                "assert main(['simulate', '--config', 'tiny.json', '--out', 'out']) == 0\n"
+                "assert 'subprocess' not in sys.modules")
+        (tmp_path / "tiny.json").write_text(json.dumps({"simulate": {"n_agents": 10,
+                                                                     "t_max": 100}}))
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
     def test_import_builds_nothing(self, tmp_path):
         env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path),
