@@ -12,8 +12,9 @@ selector); no images are rendered. This module owns the table format:
 ``_write_table`` writes every table and ``read_sweep_table`` reads sweeps back.
 
 The ``kinex`` command and ``python -m kinex.cli`` enter through ``run``,
-which calls ``main`` and then freezes the heap; ``main`` alone leaves the
-garbage collector as it found it.
+which defaults ``OPENBLAS_NUM_THREADS`` to 1, calls ``main`` and then freezes
+the heap; ``main`` alone leaves the environment and the garbage collector as
+it found them.
 
 Exit codes: 0 success, 1 runtime/numeric failure, 2 usage/config failure.
 Same config + same seed always produce byte-identical output files,
@@ -28,6 +29,7 @@ import dataclasses
 import gc
 import json
 import math
+import os
 import sys
 from collections.abc import Iterable, Sequence
 from pathlib import Path
@@ -472,6 +474,11 @@ def run() -> int:
     every live object into the permanent generation, so the collections the
     interpreter runs while it finalizes modules have nothing to walk; atexit
     handlers, module teardown and file flushing still run."""
+    # kinex calls no BLAS routine, but numpy's OpenBLAS starts a busy-waiting
+    # thread per extra core when it loads. It reads this variable then, and
+    # importing this module loads no numpy, so the default is in time; a value
+    # the caller set wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     code = main()
     gc.freeze()
     return code

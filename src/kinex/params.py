@@ -108,8 +108,10 @@ class SweepSpec:
         t1, t2 = resolve_times(self.t_max, self.t1, self.t2)
         object.__setattr__(self, "t1", t1)
         object.__setattr__(self, "t2", t2)
-        if not _is_integer(self.replicates) or self.replicates < 1:
-            raise ValueError(f"replicates must be an integer >= 1, got {self.replicates!r}")
+        # replicate_seed packs the replicate index as a uint64
+        if not _is_integer(self.replicates) or not 1 <= self.replicates <= 2**64:
+            raise ValueError(f"replicates must be an integer in [1, 2**64], "
+                             f"got {self.replicates!r}")
         if not _is_integer(self.base_seed) or not 0 <= self.base_seed < 2**64:
             raise ValueError(f"base_seed must be a 64-bit unsigned integer, got {self.base_seed!r}")
         for lam in self.lambda_values:

@@ -595,9 +595,9 @@ def test_star_import_gives_every_public_name():
     assert set(kinex.__all__) <= set(names)
 
 
-def fresh_python(args, cwd):
-    """A fresh interpreter on ``src``, run to its exit."""
-    env = dict(os.environ,
+def fresh_python(args, cwd, environ=os.environ):
+    """A fresh interpreter on ``src`` with ENVIRON, run to its exit."""
+    env = dict(environ,
                PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
                           text=True)
@@ -608,8 +608,29 @@ def python_m_kinex(args, cwd):
     return fresh_python(["-m", "kinex.cli", *args], cwd)
 
 
+def run_without_blas_env(cwd, openblas_threads, *argv):
+    """``kinex.cli.run()`` on ARGV in a fresh interpreter whose environment holds
+    no BLAS thread setting but ``OPENBLAS_NUM_THREADS=openblas_threads`` (unless
+    None). Its last stdout line is that variable after ``run()``, then the
+    count of the process's OS threads ("-" where ``/proc/self/task`` is
+    missing)."""
+    code = ("import os, sys\n"
+            "import kinex.cli\n"
+            f"sys.argv = ['kinex', *{list(argv)!r}]\n"
+            "kinex.cli.run()\n"
+            "task = '/proc/self/task'\n"
+            "threads = len(os.listdir(task)) if os.path.isdir(task) else '-'\n"
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'), threads)\n")
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    return fresh_python(["-c", code], cwd, env)
+
+
 class TestExitPath:
-    """``run`` freezes the heap after ``main``; exit codes and output must not notice."""
+    """``run`` defaults ``OPENBLAS_NUM_THREADS`` to 1 before ``main`` and freezes the heap
+    after it; exit codes and output must not notice."""
 
     def test_simulate_exits_zero_with_its_whole_summary(self, tmp_path):
         write_config(tmp_path, {"simulate": {"n_agents": 20, "t_max": 1000}}, "tiny.json")
@@ -652,6 +673,33 @@ class TestExitPath:
         done = fresh_python(["-c", code], tmp_path)
         assert done.returncode == 2
         assert done.stdout == "atexit True\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_run_loads_openblas_with_one_thread(self, tmp_path, command):
+        write_config(tmp_path, {"simulate": {"n_agents": 20, "t_max": 1000},
+                                "sweep": {"lambda_values": [0.2, 0.5], "gamma_values": [0.5],
+                                          "n_agents": 20, "t_max": 1000, "replicates": 2}},
+                     "tiny.json")
+        done = run_without_blas_env(tmp_path, None, command, "--config", "tiny.json",
+                                    "--out", "out")
+        assert done.returncode == 0, done.stderr
+        value, threads = done.stdout.splitlines()[-1].split()
+        assert value == "1"
+        if threads != "-":
+            assert threads == "1"  # no OpenBLAS thread beside the main one
+
+    def test_run_keeps_a_caller_set_blas_thread_count(self, tmp_path):
+        done = run_without_blas_env(tmp_path, "2", "simulate", "--config", "missing.json")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1].split()[0] == "2"
+
+    def test_main_leaves_the_environment_as_it_found_it(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        write_config(tmp_path, {"simulate": {"n_agents": 20, "t_max": 1000}}, "tiny.json")
+        assert run_cli(["simulate", "--config", str(tmp_path / "tiny.json"),
+                        "--out", str(tmp_path / "out")]) == 0
+        assert dict(os.environ) == before
 
     def test_console_script_enters_through_run(self):
         text = (README.parent / "pyproject.toml").read_text()

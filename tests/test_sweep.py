@@ -38,6 +38,8 @@ class TestSweepSpec:
         dict(base_seed=-5),
         dict(n_agents=1),
         dict(replicates=1.5),
+        dict(replicates=2**64 + 1),
+        dict(replicates=2**70),
         dict(base_seed=1.5),
         dict(t1=1500.5),
         dict(t_max="2000"),
@@ -47,6 +49,11 @@ class TestSweepSpec:
     def test_rejects_invalid_specs(self, kwargs):
         with pytest.raises(ValueError):
             small_spec(**kwargs)
+
+    def test_accepts_every_64_bit_replicate_index(self):
+        # constructed only: running it would list 2**64 jobs per cell
+        assert small_spec(replicates=2**64).replicates == 2**64
+        assert 0 <= replicate_seed(7, 1, 1, 2**64 - 1) < 2**64  # its last replicate
 
 
 class TestResolveWorkers:
