@@ -14,6 +14,9 @@ per-user cache and returns it only if its draws give ``_draw_block``'s
 values and generator state and its rows ``_format_rows``' bytes on fixed
 probes; ctypes checks the dtype, dimension, layout and, for the arrays C
 writes, writeability of each array handed to C.
+The C draws of a block fill thirds of one buffer per thread
+(:func:`_draw_arrays`): any thread but the main one keeps it for all its
+runs, and the main thread frees it once a run returns.
 :func:`_python_backend` returns the references. Runs, tau and numeric tables
 take the C backend when it loads, else the Python references with one
 warning; only the draws, the loop body, the tau pair counts and the row
@@ -28,6 +31,7 @@ import os
 import sys
 import threading
 import warnings
+import weakref
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -38,49 +42,29 @@ import numpy as np
 _CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 
-class _DrawBuffers:
-    """The i, j and eps arrays that the C draws write into.
-
-    Allocated on first use and reallocated only for a larger block, so the
-    runs that share one set allocate nothing after the first.
-    """
-
-    def __init__(self):
-        self._ii = self._jj = np.empty(0, np.int64)
-        self._ee = np.empty(0)
-
-    def take(self, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if len(self._ee) < size:
-            self._ii = np.empty(size, np.int64)
-            self._jj = np.empty(size, np.int64)
-            self._ee = np.empty(size)
-        return self._ii[:size], self._jj[:size], self._ee[:size]
+# each thread's draw buffer; the main thread holds only a weak reference, which
+# dies with the last block arrays of its run
+_draws = threading.local()
 
 
-# The draw buffers of a thread that called _reuse_draw_buffers. Thread-local,
-# so no two runs share them; they are freed when the thread exits.
-_thread_draws = threading.local()
-
-
-def _reuse_draw_buffers() -> None:
-    """Make every later run on this thread draw into one set of buffers.
-
-    The sweep's worker threads call it as their pool initializer. Other
-    threads, the main thread included, allocate buffers per run, so none
-    outlive a run there.
-    """
-    _thread_draws.buffers = _DrawBuffers()
-
-
-def _draw_buffers() -> _DrawBuffers:
-    """The buffers for one run: its thread's reused set, or a fresh one."""
-    return getattr(_thread_draws, "buffers", None) or _DrawBuffers()
+def _draw_arrays(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The i, j and eps arrays of one block of ``size`` steps: thirds of this
+    thread's buffer, eps a float64 view, reallocated only for a larger block."""
+    buffer = getattr(_draws, "buffer", None)
+    if isinstance(buffer, weakref.ref):
+        buffer = buffer()
+    if buffer is None or len(buffer) < 3 * size:
+        buffer = np.empty(3 * size, np.int64)
+        main = threading.current_thread() is threading.main_thread()
+        _draws.buffer = weakref.ref(buffer) if main else buffer
+    ii, jj, ee = buffer[:3 * size].reshape(3, size)
+    return ii, jj, ee.view(np.float64)
 
 
 class _Backend(NamedTuple):
     name: str              # "c" or "python"
     exchange: Callable     # the loop body, with the signature of exchange._exchange
-    draw: Callable         # (rng, n, size, _DrawBuffers) -> the arrays of _draw_block
+    draw: Callable         # (rng, n, size) -> the arrays of exchange._draw_block
     tau_counts: Callable   # (x, y) float64 vectors -> the pair counts of metrics._tau_counts
     format_rows: Callable  # int64 and float64 columns -> _format_rows' bytes, or a view of them
 
@@ -178,13 +162,13 @@ def _c_backend() -> _Backend:
             raise ValueError("the C exchange needs i, j and eps blocks of one length")
         return kernel(assets, ii, jj, ee, len(ii), saving_rate, surplus_rate, cumulative)
 
-    def draw(rng: np.random.Generator, n: int, size: int,
-             buffers: _DrawBuffers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # _draw_block(rng, n, size) into the buffers; the generator state goes
-        # to C and back through numpy's public state dict
+    def draw(rng: np.random.Generator, n: int,
+             size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # _draw_block(rng, n, size) into this thread's draw buffer; the generator
+        # state goes to C and back through numpy's public state dict
         if n < 2:  # the kernel would divide by zero
             raise ValueError(f"need n >= 2 agents to draw pairs, got {n}")
-        ii, jj, ee = buffers.take(size)
+        ii, jj, ee = _draw_arrays(size)
         bitgen = rng.bit_generator
         with bitgen.lock:
             state = bitgen.state
@@ -236,7 +220,7 @@ def _check_draws(draw: Callable, draw_block: Callable) -> None:
         want, got = np.random.default_rng(n), np.random.default_rng(n)
         for size in (5, 1001):
             if not (all(map(np.array_equal, draw_block(want, n, size),
-                            draw(got, n, size, _DrawBuffers())))
+                            draw(got, n, size)))
                     and got.bit_generator.state == want.bit_generator.state):
                 raise RuntimeError(f"its draws differ from numpy's at n={n}")
 
@@ -259,8 +243,7 @@ def _check_format(format_rows: Callable, reference: Callable) -> None:
 def _python_backend() -> _Backend:
     """The ``"python"`` backend: the references in ``exchange``, ``metrics`` and here."""
     from . import exchange, metrics  # here: both import this module
-    return _Backend("python", exchange._exchange,
-                    lambda rng, n, size, buffers: exchange._draw_block(rng, n, size),
+    return _Backend("python", exchange._exchange, exchange._draw_block,
                     metrics._tau_counts, _format_rows)
 
 

@@ -60,7 +60,7 @@ DEFAULT_CONFIG = {
         "saving_rate": 0.25,
         "surplus_rate": 0.5,
         "snapshot_times": None,  # default: decades 10^3.. <= t_max, plus t1/t2
-        "t1": None,              # t1/t2 default as in sweep.resolve_times
+        "t1": None,              # t1/t2 default as in params.resolve_times
         "t2": None,
         "bins": 50,
     },

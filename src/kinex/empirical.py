@@ -176,6 +176,8 @@ def percentile_thresholds(records: list[DerivedRecord]) -> tuple[float, float]:
     numpy's default (linear) percentile, bit for bit: the value at index
     (n - 1) * q of the sorted f, interpolated between its neighbours a and b
     as a + (b - a) * t below t = 0.5 and as b - (b - a) * (1 - t) from there.
+    The one exception is a zero threshold, which is always +0.0: numpy's sign
+    for it depends on where its partition puts the -0.0 and 0.0 of f.
     """
     fs = sorted(r.f for r in records)
 
@@ -188,7 +190,8 @@ def percentile_thresholds(records: list[DerivedRecord]) -> tuple[float, float]:
         t = index - i
         return a + (b - a) * t if t < 0.5 else b - (b - a) * (1.0 - t)
 
-    return percentile(0.33), percentile(0.67)
+    # + 0.0 turns -0.0 into 0.0 and leaves every other value's bits alone
+    return percentile(0.33) + 0.0, percentile(0.67) + 0.0
 
 
 def classify_groups(records: list[DerivedRecord],

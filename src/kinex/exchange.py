@@ -115,7 +115,6 @@ def run_simulation(params: SimulationParams) -> RunResult:
     t_max = params.t_max
     rng = np.random.default_rng(params.seed)
     backend = _backend._resolve_backend()
-    buffers = _backend._draw_buffers()
 
     assets = np.full(n, params.initial_asset)
     snapshots: dict[int, np.ndarray] = {}
@@ -126,7 +125,7 @@ def run_simulation(params: SimulationParams) -> RunResult:
     t = 0
     while t < t_max:
         block = min(_BLOCK, t_max - t)
-        ii, jj, ee = backend.draw(rng, n, block, buffers)
+        ii, jj, ee = backend.draw(rng, n, block)
         start = t
         end = t + block
         while t < end:

@@ -12,9 +12,9 @@ job on a thread pool, and the aggregation always reduces results in
 (lambda-index, gamma-index, replicate-index) order, so the cells are
 bit-identical regardless of scheduling. The C kernel draws and exchanges
 without the GIL, so threads run it in parallel; the Python fallback gets no
-speed-up from them. Each worker thread reuses one set of draw buffers for
-all its runs. KINEX_THREADS sets the worker count when the caller passes
-none; the count never exceeds ``os.cpu_count()``.
+speed-up from them. The C draws keep one buffer per thread, so each worker
+allocates it once for all its runs. KINEX_THREADS sets the worker count when
+the caller passes none; the count never exceeds ``os.cpu_count()``.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from . import _backend
 from .errors import ConfigError
 from .exchange import RunResult, run_simulation
 from .metrics import gini, kendall_tau, total_exchange
-# the specs live in numpy-free params; kinex.sweep still offers resolve_times with them
-from .params import SimulationParams, SweepCell, SweepSpec, resolve_times
+from .params import SimulationParams, SweepCell, SweepSpec
 
 
 def run_indexes(result: RunResult, t1: int, t2: int) -> tuple[float, float, float]:
@@ -89,8 +88,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SweepCell]:
 
     # once here: concurrent first calls would race to build the kernel and could warn twice
     _backend._resolve_backend()
-    with ThreadPoolExecutor(max_workers=min(_resolve_workers(workers), len(jobs)),
-                            initializer=_backend._reuse_draw_buffers) as pool:
+    with ThreadPoolExecutor(max_workers=min(_resolve_workers(workers), len(jobs))) as pool:
         # a failed job ends the map, which cancels the jobs not yet started
         outcomes = list(pool.map(replicate_metrics, *zip(*jobs)))
 

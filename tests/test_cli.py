@@ -1,15 +1,21 @@
+import contextlib
+import csv
 import gc
 import importlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import kinex
 import kinex.cli
@@ -425,6 +431,8 @@ class TestConfigHandling:
         "xml.json": json.dumps({"output": {"format": "xml"}}),
         "empty.json": "{}",
         "not_json.json": "{not json",
+        "list_config.json": "[1, 2]",
+        "scalar_section.json": json.dumps({"simulate": 5}),
         "scalar_row.json": json.dumps({"columns": ["lambda", "gamma", "mean_g", "mean_f",
                                                    "mean_tau"], "rows": [5]}),
         "latin1_config.json": '{"output": {"dir": "r\xe9sultats"}}'.encode("latin-1"),
@@ -463,6 +471,8 @@ class TestConfigHandling:
         (["fit", "--table", "not_json.json"], {}),
         (["fit", "--table", "scalar_row.json"], {}),
         (["simulate", "--config", "latin1_config.json"], {}),
+        (["simulate", "--config", "list_config.json"], {}),
+        (["simulate", "--config", "scalar_section.json"], {}),
         (["empirical", "--data", "latin1_data.csv"], {}),
         (["fit", "--table", "latin1_table.csv"], {}),
         *((["fit", "--table", name], {}) for name in TABLE_ERROR_LINES),
@@ -537,6 +547,76 @@ class TestConfigHandling:
         cfg = write_config(tmp_path, SMALL_SWEEP)
         assert run_cli(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
+
+
+# the columns each reader needs, and a field length on either side of the
+# CSV reader's limit (131,072 characters by default)
+CSV_COLUMNS = {"empirical": ["country", "f", "g", "lambda", "gamma"],
+               "fit": ["lambda", "gamma", "mean_g", "mean_f", "mean_tau"]}
+FIELD_LIMIT = csv.field_size_limit()
+
+
+@st.composite
+def csv_documents(draw, columns):
+    """The bytes of a CSV table with ``columns``, or of something near one: the
+    header reordered, cut short, doubled or upper-cased; valid rows among rows
+    of any text, quoted or not, blank and ``#`` rows, fields around the reader's
+    limit, NUL characters, a byte-order mark and bytes that are not UTF-8."""
+    header = draw(st.sampled_from([columns, columns[::-1], columns[:-1], columns + columns[:1],
+                                   [c.upper() for c in columns], columns + ["notes"]]))
+    number = st.floats(min_value=0.01, max_value=0.99).map(repr)
+    valid_row = st.tuples(*(st.text("abc ,", min_size=1, max_size=4) if c == "country"
+                            else number for c in columns))
+    cell = st.one_of(number, st.sampled_from(["", " ", "-", "nan", "inf", "1e400", "-0", "2"]),
+                     st.text(max_size=6),
+                     st.sampled_from([FIELD_LIMIT - 1, FIELD_LIMIT, FIELD_LIMIT + 1])
+                     .map(lambda n: "7" * n))
+    any_row = st.lists(cell, max_size=len(columns) + 1)
+    rows = [header, *draw(st.lists(st.one_of(valid_row, any_row,
+                                             st.sampled_from([(), ("# note",)])), max_size=6))]
+    if draw(st.booleans()):  # every field quoted, its quotes doubled
+        rows = [['"' + field.replace('"', '""') + '"' for field in row] for row in rows]
+    data = "".join(",".join(row) + "\n" for row in rows).encode()
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    if draw(st.booleans()):  # one stray byte: Latin-1's e-acute, 0xff (never UTF-8) or NUL
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xe9", b"\xff", b"\x00"])) + data[at:]
+    return data
+
+
+class TestCsvText:
+    """Any CSV text given to ``kinex empirical --data`` or ``kinex fit --table``
+    ends in exit 0, 1 or 2, never in an exception; an exit 2 prints one
+    ``kinex:`` line and writes no output directory."""
+
+    @pytest.mark.parametrize("command, flag", [("empirical", "--data"), ("fit", "--table")])
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    @example(data=None)
+    def test_any_csv_text_exits_cleanly(self, command, flag, data):
+        if data is None:  # a table that fits, so exit 0 is reached
+            rows = [["A", "400", "0.3", "0.2", "0.2"], ["B", "500", "0.4", "0.3", "0.3"],
+                    ["C", "600", "0.35", "0.25", "0.4"]] if command == "empirical" else \
+                [["0.2", "0.5", "0.5", "0.4", "0.1"], ["0.4", "0.5", "0.4", "0.3", "0.2"]]
+            document = "\n".join(",".join(row) for row in [CSV_COLUMNS[command], *rows])
+            document = document.encode()
+        else:
+            document = data.draw(csv_documents(CSV_COLUMNS[command]))
+        # a fresh directory per example: function-scoped fixtures persist across them
+        with tempfile.TemporaryDirectory() as tmp:
+            table, out = Path(tmp) / "table.csv", Path(tmp) / "out"
+            table.write_bytes(document)
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = run_cli([command, flag, str(table), "--out", str(out)])
+            if data is None:
+                assert code == 0, stderr.getvalue()
+            assert code in (0, 1, 2)
+            if code == 2:
+                [line] = stderr.getvalue().splitlines()
+                assert line.startswith("kinex: ")
+                assert not out.exists()
 
 
 def _tree_bytes(root: Path) -> dict:

@@ -95,6 +95,27 @@ class TestLoadCountries:
         with pytest.raises(ParseError):
             load_text("country,f,g,lambda\nX,10,0.3,0.2\n")
 
+    # tables that load_countries refuses -> its message and the line it reports
+    BAD_TABLES = [
+        ("", "missing header row", 1),
+        ("# a comment\n\n", "missing header row", 1),
+        ("country,f,g,lambda,gamma,F\nX,10,0.3,0.2,0.2,10\n", "duplicate column 'f'", 1),
+        ("country,f,g,lambda,gamma\nA,10,0.3,0.2,0.2\n  ,10,0.3,0.2,0.2\n",
+         "empty country name", 3),
+        ("country,f,g,lambda,gamma\nX,,0.3,0.2,0.2\n", "column 'f' is required", 2),
+        ("country,f,g,lambda,gamma\nX,-,0.3,0.2,0.2\n", "column 'f' is required", 2),
+        ("country,f,g,lambda,gamma\nX,10,1.0,0.2,0.2\n", "column 'g': 1.0 outside", 2),
+        ("country,f,g,lambda,gamma\nX,inf,0.3,0.2,0.2\n", "column 'f': 'inf' is not finite", 2),
+        ("country,f,g,lambda,gamma\nX,10,0.3,nan,0.2\n",
+         "column 'lambda': 'nan' is not finite", 2),
+    ]
+
+    @pytest.mark.parametrize("text, message, line", BAD_TABLES)
+    def test_bad_table_reports_its_line(self, text, message, line):
+        with pytest.raises(ParseError, match=message) as err:
+            load_text(text)
+        assert err.value.line_number == line
+
     def test_byte_order_mark_is_skipped(self, tmp_path):
         # spreadsheet programs start UTF-8 files with the bytes EF BB BF
         path = tmp_path / "bom.csv"

@@ -24,7 +24,9 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 import warnings
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -38,8 +40,8 @@ import test_metrics
 from kinex import (SimulationParams, SweepSpec, _backend, exchange, kendall_tau,
                    run_simulation, run_sweep)
 from kinex.cli import main
-from kinex._backend import _c_backend, _DrawBuffers, _python_backend, _resolve_backend
-from kinex.exchange import _draw_block
+from kinex._backend import _c_backend, _python_backend, _resolve_backend
+from kinex.exchange import _BLOCK, _draw_block
 from test_exchange import REPLAY_CASES, SPAN, replay_one_step_at_a_time
 from test_golden import RUN_GOLDENS, SWEEP_CONFIG, SWEEP_CSV_SHA256
 
@@ -348,36 +350,36 @@ class TestDraws:
         # two consecutive blocks of every pair of sizes: an odd count of 32-bit
         # draws leaves a spare half-word that the next draw, in this block or
         # the next, takes first
-        buffers = _DrawBuffers()
         for seed, sizes in itertools.product(range(16), itertools.product(DRAW_SIZES, repeat=2)):
             want, got = np.random.default_rng(seed), np.random.default_rng(seed)
             for size in sizes:
-                for w, g in zip(_draw_block(want, n, size), c_backend.draw(got, n, size, buffers)):
+                for w, g in zip(_draw_block(want, n, size), c_backend.draw(got, n, size)):
                     assert w.dtype == g.dtype and w.tobytes() == g.tobytes(), (seed, sizes)
                 assert got.bit_generator.state == want.bit_generator.state, (seed, sizes)
 
     def test_c_draws_refuse_what_they_cannot_reproduce(self, c_backend):
         with pytest.raises(ValueError, match="n >= 2"):  # the kernel would divide by zero
-            c_backend.draw(np.random.default_rng(0), 1, 5, _DrawBuffers())
+            c_backend.draw(np.random.default_rng(0), 1, 5)
         with pytest.raises(TypeError, match="PCG64"):
-            c_backend.draw(np.random.Generator(np.random.PCG64DXSM(0)), 10, 5, _DrawBuffers())
+            c_backend.draw(np.random.Generator(np.random.PCG64DXSM(0)), 10, 5)
 
-    def test_sweep_workers_reuse_one_set_of_draw_buffers(self, monkeypatch):
-        seen = []  # the thread's draw buffers after each run
+    def test_sweep_workers_reuse_one_set_of_draw_buffers(self, c_backend, monkeypatch):
+        seen = []  # the thread's draw buffer after each run
 
         def run_and_peek(params):
             result = run_simulation(params)
-            seen.append(getattr(_backend._thread_draws, "buffers", None))
+            seen.append(live_draw_buffer())
             return result
 
         monkeypatch.setattr("kinex.sweep.run_simulation", run_and_peek)
-        run_sweep(SweepSpec(lambda_values=(0.2, 0.5), gamma_values=(0.5,), n_agents=20,
-                            t_max=200, replicates=2), workers=1)
-        assert len(seen) == 4 and isinstance(seen[0], _DrawBuffers)
-        assert all(buffers is seen[0] for buffers in seen)
-        run_and_peek(SimulationParams(n_agents=20, saving_rate=0.5, surplus_rate=0.5,
-                                      t_max=200))
-        assert seen[-1] is None  # a run on any other thread frees its own
+        with on(c_backend):
+            run_sweep(SweepSpec(lambda_values=(0.2, 0.5), gamma_values=(0.5,), n_agents=20,
+                                t_max=200, replicates=2), workers=1)
+            assert len(seen) == 4 and isinstance(seen[0], np.ndarray)
+            assert all(buffers is seen[0] for buffers in seen)
+            run_and_peek(SimulationParams(n_agents=20, saving_rate=0.5, surplus_rate=0.5,
+                                          t_max=200))
+        assert seen[-1] is None  # a run on the main thread frees its own
 
     def test_draw_probe_mismatch_falls_back_once(self, c_backend, fresh_resolution,
                                                  monkeypatch):
@@ -393,6 +395,65 @@ class TestDraws:
         assert len(caught) == 1
 
 
+def live_draw_buffer():
+    """This thread's C draw buffer, or None where none is alive."""
+    buffer = getattr(_backend._draws, "buffer", None)
+    return buffer() if isinstance(buffer, weakref.ref) else buffer
+
+
+class TestDrawBuffer:
+    """Who keeps the C draws' buffer: every thread but the main one for all its
+    runs, the main thread only while a run holds a block's arrays."""
+
+    def test_sweep_workers_and_plain_threads_keep_one_buffer(self, c_backend, monkeypatch):
+        seen = {}  # thread -> its draw buffer after each of its runs
+
+        def run_and_peek(params):
+            result = run_simulation(params)
+            seen.setdefault(threading.current_thread(), []).append(live_draw_buffer())
+            return result
+
+        def plain_runs():
+            for seed in range(3):
+                run_and_peek(SimulationParams(n_agents=20, saving_rate=0.5, surplus_rate=0.5,
+                                              t_max=200, seed=seed))
+
+        monkeypatch.setattr("kinex.sweep.run_simulation", run_and_peek)
+        with on(c_backend):
+            run_sweep(SweepSpec(lambda_values=(0.2, 0.5), gamma_values=(0.5,), n_agents=20,
+                                t_max=200, replicates=3), workers=2)
+            thread = threading.Thread(target=plain_runs)
+            thread.start()
+            thread.join(timeout=60)
+        assert not thread.is_alive() and thread in seen
+        assert sum(map(len, seen.values())) == 6 + 3  # the sweep's runs, then the thread's
+        for buffers in seen.values():
+            assert isinstance(buffers[0], np.ndarray) and len(buffers[0]) == 3 * 200
+            assert all(buffer is buffers[0] for buffer in buffers)
+
+    def test_every_block_of_a_main_thread_run_draws_into_one_buffer(self, c_backend):
+        buffers = []  # a weak reference to the buffer behind each block's arrays
+
+        def draw(rng, n, size):
+            arrays = c_backend.draw(rng, n, size)
+            buffers.append(weakref.ref(arrays[0].base))
+            assert all(ref() is arrays[0].base for ref in buffers)  # still the first block's
+            return arrays
+
+        with on(c_backend._replace(draw=draw)):
+            run_simulation(SimulationParams(n_agents=20, saving_rate=0.5, surplus_rate=0.5,
+                                            t_max=3 * _BLOCK + 5))
+        assert len(buffers) == 4
+        assert all(ref() is None for ref in buffers)  # freed when the run returned
+
+    def test_no_draw_buffer_outlives_a_main_thread_run(self, c_backend):
+        assert threading.current_thread() is threading.main_thread()
+        run_with(c_backend, SimulationParams(n_agents=20, saving_rate=0.5, surplus_rate=0.5,
+                                             t_max=2 * _BLOCK))
+        assert isinstance(_backend._draws.buffer, weakref.ref)
+        assert live_draw_buffer() is None
+
+
 # n = 3 * 2**30: Lemire's excl is 3 * 2**30 and its threshold 2**30, so a 32-bit
 # draw is rejected a quarter of the time (leftover < 2**30) and is a false alarm
 # of the paired fast check half the time (2**30 <= leftover < excl)
@@ -402,9 +463,8 @@ REJECTING_N = 3 * 2**30
 def assert_c_draws_equal_draw_block(c_backend, want, got, n, sizes):
     """Draw a block of each size from ``want`` by _draw_block and from ``got``
     by the C draws: the same values and dtypes, and the same state dict."""
-    buffers = _DrawBuffers()
     for size in sizes:
-        for w, g in zip(_draw_block(want, n, size), c_backend.draw(got, n, size, buffers)):
+        for w, g in zip(_draw_block(want, n, size), c_backend.draw(got, n, size)):
             assert w.dtype == g.dtype and w.tobytes() == g.tobytes(), sizes
         assert got.bit_generator.state == want.bit_generator.state, sizes
 

@@ -160,6 +160,9 @@ class TestKendallTau:
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
             kendall_tau([1, 2, 3], [1, 2])
+        for shape_error in ([1.0], [[1.0, 2.0], [3.0, 4.0]], 1.0):
+            with pytest.raises(ValueError, match="1-d vectors of length >= 2"):
+                kendall_tau(shape_error, shape_error)
 
 
 class TestHistogram:
@@ -194,6 +197,9 @@ class TestHistogram:
     def test_rejects_zero_bins(self):
         with pytest.raises(ValueError):
             histogram([1.0], bins=0)
+        for shape_error in ([], [[1.0, 2.0]], 1.0):
+            with pytest.raises(ValueError, match="non-empty 1-d vector"):
+                histogram(shape_error)
 
 
 class TestGammaFit:

@@ -123,21 +123,36 @@ def records(fs):
                           f_norm=1.0, y=1.0) for k, f in enumerate(fs)]
 
 
+def assert_thresholds_match_numpy(fs):
+    """The thresholds are numpy's bit for bit, but a zero one is +0.0 where
+    numpy's sign depends on how its partition orders -0.0 and 0.0."""
+    got = percentile_thresholds(records(fs))
+    for value, want in zip(got, np.percentile(np.array(fs), (33.0, 67.0)).tolist(), strict=True):
+        if want == 0.0:
+            assert value == want and bits(value) == bits(0.0)
+        else:
+            assert bits(value) == bits(want)
+
+
 class TestPercentiles:
-    # f is >= 0, or -0.0 where a table says "-0". numpy's partition may swap
-    # a -0.0 and a 0.0 (they compare equal), which can flip the sign of a zero
-    # threshold, so a drawn list holds zeros of one sign only
+    # f is >= 0, or -0.0 where a table says "-0"
     @settings(max_examples=80, deadline=None)
-    @given(st.lists(st.floats(min_value=0.0, max_value=1e300), min_size=1, max_size=150),
-           st.booleans())
-    @example([0.0], True)
-    @example([5.0, 5.0, 5.0], False)
-    def test_drawn_values(self, fs, negative_zeros):
-        if negative_zeros:
-            fs = [-0.0 if f == 0.0 else f for f in fs]
-        expected = np.percentile(np.array(fs), (33.0, 67.0))
-        assert list(map(bits, percentile_thresholds(records(fs)))) == \
-            list(map(bits, expected))
+    @given(st.lists(st.floats(min_value=0.0, max_value=1e300) | st.just(-0.0),
+                    min_size=1, max_size=150))
+    @example([0.0])
+    @example([-0.0])
+    @example([-0.0, -0.0, 0.0] + [-0.0] * 11)
+    @example([5.0, 5.0, 5.0])
+    def test_drawn_values(self, fs):
+        assert_thresholds_match_numpy(fs)
+
+    def test_order_of_signed_zeros_leaves_the_thresholds(self):
+        # 13 zeros written "-0" and one "0": wherever the "0" stands, both
+        # thresholds are +0.0
+        for where in range(14):
+            fs = [-0.0] * 14
+            fs[where] = 0.0
+            assert list(map(bits, percentile_thresholds(records(fs)))) == [bits(0.0)] * 2, where
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 3000))
