@@ -5,15 +5,16 @@ operations in the same order (choosing the poorer side with masks instead of
 a branch), a C reproduction of ``exchange._draw_block``'s numpy algorithms
 (which draws a 32-bit bound two values per 64-bit word, and one at a time
 where numpy's rejection test may apply), a C count of
-``metrics._tau_counts``' pairs and a C writer of :func:`_format_rows`' CSV
-rows. Its doubles take Schubfach's shortest digits (Giulietti 2020) in
-``repr``'s layout, without the paper's two-digit minimum: its ``s >= 100``
-guard and its ``10 * c`` path for subnormal significands ``c < 3`` are left
-out. :func:`_c_backend` builds the unit with the system ``gcc`` into a
-per-user cache and returns it only if its draws give ``_draw_block``'s
-values and generator state and its rows ``_format_rows``' bytes on fixed
-probes; ctypes checks the dtype, dimension, layout and, for the arrays C
-writes, writeability of each array handed to C.
+``metrics._tau_counts``' pairs (by radix sorts and a Fenwick tree) and a C
+writer of :func:`_format_rows`' CSV rows. Its doubles take Schubfach's
+shortest digits (Giulietti 2020) in ``repr``'s layout, without the paper's
+two-digit minimum: its ``s >= 100`` guard and its ``10 * c`` path for
+subnormal significands ``c < 3`` are left out. :func:`_c_backend` builds
+the unit with the system ``gcc`` into a per-user cache and returns it only
+if its draws give ``_draw_block``'s values and generator state and its rows
+``_format_rows``' bytes on fixed probes; ctypes checks the dtype,
+dimension, layout and, for the arrays C writes, writeability of each array
+handed to C.
 The C draws of a block fill thirds of one buffer per thread
 (:func:`_draw_arrays`): any thread but the main one keeps it for all its
 runs, and the main thread frees it once a run returns.
@@ -190,7 +191,7 @@ def _c_backend() -> _Backend:
         if not x.size == y.size >= 2:  # the kernel reads y as far as x
             raise ValueError("the C tau counts need two vectors of one length >= 2")
         out = np.empty(4, np.int64)
-        tau_kernel(x, y, x.size, np.empty(2 * x.size, np.int64), out)
+        tau_kernel(x, y, x.size, np.empty(4 * x.size, np.int64), out)
         return tuple(out.tolist())
 
     def format_rows(columns: Sequence[np.ndarray]) -> memoryview:

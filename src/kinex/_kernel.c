@@ -21,7 +21,8 @@
  * they differ.
  *
  * kinex_tau_counts counts the same pairs as _tau_counts by Knight's (1966)
- * merge sorts, in O(n log n) and in exact integers.
+ * method, in exact integers: stable radix sorts of order-preserving keys
+ * in O(n) passes and a Fenwick tree's inversion count in O(n log n).
  *
  * kinex_format_rows writes int64 cells as str does and doubles as repr
  * does: Schubfach's shortest round-trip digits (Giulietti 2020) in
@@ -212,41 +213,50 @@ void kinex_draw(uint64_t *st, int64_t n, int64_t size, int64_t *ii, int64_t *jj,
     st[5] = g.uinteger;
 }
 
-/* Stable bottom-up merge sort of the n agent indices in a, with b as
- * scratch, by x then y, or by y alone when x is NULL; an entry from the
- * right half goes first only when it is strictly less. Returns a or b,
- * whichever holds the result. When inversions is not NULL, adds the pairs
- * the sort found in strictly descending order: each right entry that goes
- * first passes the mid - p left entries still waiting. */
-static inline __attribute__((always_inline)) int64_t *
-merge_sort(const double *x, const double *y, int64_t n, int64_t *a, int64_t *b,
-           int64_t *inversions)
+/* A sort key and the value it carries: an agent index, then a y rank. */
+typedef struct {
+    uint64_t key;
+    uint64_t val;
+} keyed;
+
+/* A uint64 that orders as the double v does, for v not nan: the sign bit
+ * set for v >= 0, all bits flipped for v < 0. v + 0.0 is +0.0 for -0.0,
+ * so the two zeros share a key, as == and np.unique take them as equal. */
+static inline uint64_t order_key(double v)
 {
-    for (int64_t width = 1; width < n; width *= 2) {
-        for (int64_t lo = 0; lo < n; lo += 2 * width) {
-            const int64_t mid = lo + width < n ? lo + width : n;
-            const int64_t hi = mid + width < n ? mid + width : n;
-            int64_t p = lo, q = mid, k = lo;
-            while (p < mid && q < hi) {
-                const int64_t l = a[p], r = a[q];
-                const int right_first = x ? x[r] < x[l] || (x[r] == x[l] && y[r] < y[l])
-                                          : y[r] < y[l];
-                if (right_first) {
-                    b[k++] = r;
-                    q++;
-                    if (inversions)
-                        *inversions += mid - p;
-                } else {
-                    b[k++] = l;
-                    p++;
-                }
-            }
-            while (p < mid)
-                b[k++] = a[p++];
-            while (q < hi)
-                b[k++] = a[q++];
+    const uint64_t u = bits_of(v + 0.0);
+    return u ^ ((uint64_t)((int64_t)u >> 63) | 1ULL << 63);
+}
+
+/* Stable LSD radix sort of the n entries of a by key, a byte at a time,
+ * with b as scratch. Returns a or b, whichever holds the result. One pass
+ * counts all eight digits and one loop turns the counts into each digit's
+ * bucket starts; a digit that every key shares moves nothing and is
+ * skipped. Keys travel with their values, so no pass reads memory through
+ * an index. The counts live on the stack: sweep threads call this at once. */
+static keyed *radix_sort(keyed *a, keyed *b, int64_t n)
+{
+    int64_t start[256][8]; /* [digit value][digit] */
+    memset(start, 0, sizeof start);
+    for (int64_t k = 0; k < n; k++)
+        for (int d = 0; d < 8; d++)
+            start[a[k].key >> 8 * d & 255][d]++;
+    int shared = 0; /* bit d set when every key has a[0]'s digit d */
+    for (int d = 0; d < 8; d++)
+        shared |= (start[a[0].key >> 8 * d & 255][d] == n) << d;
+    int64_t sum[8] = {0};
+    for (int v = 0; v < 256; v++)
+        for (int d = 0; d < 8; d++) {
+            const int64_t size = start[v][d];
+            start[v][d] = sum[d];
+            sum[d] += size;
         }
-        int64_t *t = a;
+    for (int d = 0; d < 8; d++) {
+        if (shared >> d & 1)
+            continue;
+        for (int64_t k = 0; k < n; k++)
+            b[start[a[k].key >> 8 * d & 255][d]++] = a[k];
+        keyed *t = a;
         a = b;
         b = t;
     }
@@ -254,32 +264,52 @@ merge_sort(const double *x, const double *y, int64_t n, int64_t *a, int64_t *b,
 }
 
 /* The pair counts of _tau_counts for two snapshots x and y of n >= 2
- * agents: out = {discordant, tied in x, tied in y, tied in both}. work
- * holds 2n int64. C's == takes -0.0 and 0.0 as equal, as np.unique does. */
+ * agents, none nan: out = {discordant, tied in x, tied in y, tied in
+ * both}. work holds 4n int64. Knight's (1966) method: order the agents by
+ * y, replace each y by its dense rank, stably order that by x, so equal x
+ * sort by y, and count the inversions of the ranks with a Fenwick (1994)
+ * tree. Runs of equal keys are adjacent in each order; an entry that
+ * extends a run ties with every entry before it in the run. */
 void kinex_tau_counts(const double *x, const double *y, int64_t n, int64_t *work,
                       int64_t *out)
 {
+    keyed *a = (keyed *)work, *b = a + n;
     for (int64_t k = 0; k < n; k++)
-        work[k] = k;
-    int64_t *order = merge_sort(x, y, n, work, work + n, NULL);
-    /* runs of equal x, and of equal (x, y), are now adjacent; an entry
-     * that extends a run ties with every entry before it in the run */
-    int64_t ties_x = 0, ties_both = 0, run_x = 0, run_both = 0;
-    for (int64_t k = 1; k < n; k++) {
-        const int64_t l = order[k - 1], r = order[k];
-        run_x = x[r] == x[l] ? run_x + 1 : 0;
-        run_both = run_x && y[r] == y[l] ? run_both + 1 : 0;
-        ties_x += run_x;
-        ties_both += run_both;
-    }
-    /* x-order with equal x sorted by y: a pair sorted out of it by y is
-     * one whose x and y disagree strictly */
-    int64_t discordant = 0;
-    order = merge_sort(NULL, y, n, order, order == work ? work + n : work, &discordant);
+        a[k] = (keyed){order_key(y[k]), (uint64_t)k};
+    keyed *order = radix_sort(a, b, n);
     int64_t ties_y = 0, run_y = 0;
-    for (int64_t k = 1; k < n; k++) {
-        run_y = y[order[k]] == y[order[k - 1]] ? run_y + 1 : 0;
+    uint64_t rank = 0, last = order[0].key;
+    for (int64_t k = 0; k < n; k++) {
+        const uint64_t key = order[k].key;
+        run_y = k && key == last ? run_y + 1 : 0;
+        rank += k && !run_y;
         ties_y += run_y;
+        last = key;
+        order[k] = (keyed){order_key(x[order[k].val]), rank};
+    }
+    order = radix_sort(order, order == a ? b : a, n);
+    /* tree[i], for i in [1, size], counts the agents seen so far at ranks
+     * i - (i & -i) to i - 1 */
+    const int64_t size = (int64_t)rank + 1;
+    int64_t *tree = (int64_t *)(order == a ? b : a);
+    memset(tree, 0, (size_t)(size + 1) * sizeof *tree);
+    int64_t ties_x = 0, ties_both = 0, run_x = 0, run_both = 0, discordant = 0;
+    for (int64_t k = 0; k < n; k++) {
+        const int64_t r = (int64_t)order[k].val;
+        if (k) {
+            run_x = order[k].key == order[k - 1].key ? run_x + 1 : 0;
+            run_both = run_x && (int64_t)order[k - 1].val == r ? run_both + 1 : 0;
+            ties_x += run_x;
+            ties_both += run_both;
+        }
+        /* the agents before this one in (x, y) order at a higher y rank:
+         * each has a strictly lower x, as equal x sort by y */
+        int64_t at_most = 0;
+        for (int64_t i = r + 1; i > 0; i -= i & -i)
+            at_most += tree[i];
+        discordant += k - at_most;
+        for (int64_t i = r + 1; i <= size; i += i & -i)
+            tree[i]++;
     }
     out[0] = discordant;
     out[1] = ties_x;

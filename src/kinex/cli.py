@@ -35,8 +35,8 @@ from collections.abc import Iterable, Sequence
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-# numpy-free: fit and empirical never import numpy. simulate and sweep import
-# the model (exchange, metrics, sweep, numpy) when they run
+# numpy-free: fit and empirical never import numpy. simulate imports the model
+# (exchange, metrics, numpy) when it runs, and sweep also the sweep module
 from .empirical import (_csv_rows, classify_groups, derive, fit_groups, load_countries,
                         percentile_thresholds)
 from .errors import ConfigError, DegenerateDataError, KinexError, ParseError
@@ -205,8 +205,7 @@ def cmd_simulate(args, config: dict, out_dir: Path, fmt: str) -> int:
     import numpy as np
 
     from .exchange import run_simulation
-    from .metrics import gamma_fit, gini, histogram
-    from .sweep import run_indexes
+    from .metrics import gamma_fit, gini, histogram, run_indexes
 
     sim_cfg = config["simulate"]
     t_max = sim_cfg["t_max"]

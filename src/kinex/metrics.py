@@ -2,7 +2,8 @@
 
 gini measures disparity, total_exchange the time-averaged flow of a run,
 kendall_tau the rank persistence between two snapshots (the inverse of
-turnover). histogram and gamma_fit characterize the distribution shape.
+turnover); run_indexes scores one run with all three. histogram and
+gamma_fit characterize the distribution shape.
 All functions are pure and thread-safe.
 """
 
@@ -10,11 +11,15 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import _backend
 from .errors import DegenerateDataError
+
+if TYPE_CHECKING:
+    from .exchange import RunResult
 
 
 @dataclass(frozen=True)
@@ -41,9 +46,9 @@ def gini(assets) -> float:
     a = np.asarray(assets, dtype=float)
     if a.ndim != 1 or a.size < 2:
         raise ValueError(f"gini needs a 1-d vector of length >= 2, got shape {a.shape}")
-    if not np.all(np.isfinite(a)) or np.any(a < 0):
-        raise ValueError("gini requires finite, non-negative assets")
     r = np.sort(a)
+    if not (r[0] >= 0.0 and r[-1] < np.inf):  # numpy sorts nan last and -inf first
+        raise ValueError("gini requires finite, non-negative assets")
     total = float(r.sum())  # summed after sorting: permutation-invariant bit for bit
     if total <= 0.0:
         raise DegenerateDataError("gini is undefined for an all-zero vector")
@@ -121,10 +126,11 @@ def kendall_tau(assets_t1, assets_t2) -> float:
     pair count). Two all-equal snapshots have no comparable pair; that
     degenerate tau is defined as 0 and warned about.
 
-    The pairs are counted by Knight's (1966) method: O(n log n) merge sorts
-    in C without the GIL, or, where the C unit is unavailable, the numpy
-    reference :func:`_tau_counts` in O(n log^2 n). Pair counts are exact
-    integers, so the result does not depend on the input order or backend.
+    The pairs are counted by Knight's (1966) method: in C without the GIL,
+    by radix sorts and a Fenwick tree in O(n log n), or, where the C unit is
+    unavailable, by the numpy reference :func:`_tau_counts` in O(n log^2 n).
+    Pair counts are exact integers, so the result does not depend on the
+    input order or backend.
     """
     x = np.asarray(assets_t1, dtype=float)
     y = np.asarray(assets_t2, dtype=float)
@@ -142,6 +148,13 @@ def kendall_tau(assets_t1, assets_t2) -> float:
         return 0.0
     concordant = comparable - discordant
     return (concordant - discordant) / n_pairs
+
+
+def run_indexes(result: RunResult, t1: int, t2: int) -> tuple[float, float, float]:
+    """One run's (g, f, tau): Gini at t2, flow over t_max, Kendall tau from t1 to t2."""
+    t2_assets = result.snapshots[t2]
+    return (gini(t2_assets), total_exchange(result.cumulative_pool, result.params.t_max),
+            kendall_tau(result.snapshots[t1], t2_assets))
 
 
 def histogram(assets, bins: int = 50) -> Histogram:

@@ -3,9 +3,9 @@
 Each grid cell runs ``replicates`` independent simulations whose seeds are
 derived from (base_seed, lambda-index, gamma-index, replicate-index) via an
 8-byte BLAKE2b hash, so every cell owns a stable random stream. Each
-replicate is scored by :func:`run_indexes`: the Gini index of the t2
-snapshot, the flow from the accumulated pool over t_max, and the rank
-correlation between the t1 and t2 snapshots.
+replicate is scored by :func:`kinex.metrics.run_indexes`: the Gini index
+of the t2 snapshot, the flow from the accumulated pool over t_max, and the
+rank correlation between the t1 and t2 snapshots.
 
 Cells and replicates are embarrassingly parallel: each replicate is one
 job on a thread pool, and the aggregation always reduces results in
@@ -28,16 +28,9 @@ import numpy as np
 
 from . import _backend
 from .errors import ConfigError
-from .exchange import RunResult, run_simulation
-from .metrics import gini, kendall_tau, total_exchange
+from .exchange import run_simulation
+from .metrics import run_indexes
 from .params import SimulationParams, SweepCell, SweepSpec
-
-
-def run_indexes(result: RunResult, t1: int, t2: int) -> tuple[float, float, float]:
-    """One run's (g, f, tau): Gini at t2, flow over t_max, Kendall tau from t1 to t2."""
-    t2_assets = result.snapshots[t2]
-    return (gini(t2_assets), total_exchange(result.cumulative_pool, result.params.t_max),
-            kendall_tau(result.snapshots[t1], t2_assets))
 
 
 def replicate_seed(base_seed: int, lambda_index: int, gamma_index: int,

@@ -12,6 +12,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -619,6 +620,40 @@ class TestCsvText:
                 assert not out.exists()
 
 
+# any text a user may put in KINEX_THREADS; an environment value holds no NUL
+# and no lone surrogate
+thread_text = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"),
+            max_size=12),
+    st.integers(min_value=-2**70, max_value=2**70).map(str),
+    st.sampled_from([" 2 ", "1_0", "0x10", "1e3", "\u0663", "+1", "-0", "9" * 5000]))
+
+
+class TestThreadsEnvironment:
+    """Any ``KINEX_THREADS`` text ends ``kinex sweep`` in exit 0 or 2 with at most
+    one ``kinex:`` line and no traceback; an exit 2 writes no output directory."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(text=thread_text)
+    def test_any_thread_count_text_exits_cleanly(self, text):
+        # a fresh directory per example: function-scoped fixtures persist across them
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.dict(os.environ, {"KINEX_THREADS": text}):
+            config = write_config(Path(tmp), {"sweep": {
+                "lambda_values": [0.2, 0.5], "gamma_values": [0.5], "n_agents": 20,
+                "t_max": 200, "replicates": 1}})
+            out = Path(tmp) / "out"
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = run_cli(["sweep", "--config", config, "--out", str(out)])
+            lines = stderr.getvalue().splitlines()
+            assert code in (0, 2), lines
+            assert len([line for line in lines if line.startswith("kinex:")]) <= 1
+            assert "Traceback" not in stderr.getvalue()
+            if code == 2:
+                assert not out.exists()
+
+
 def _tree_bytes(root: Path) -> dict:
     return {str(p.relative_to(root)): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
@@ -653,6 +688,17 @@ NUMPY_FREE = {
     "fit": "from kinex.cli import main; assert main(['fit', '--table', 'table.csv']) == 0",
     "empirical": "from kinex.cli import main; assert main(['empirical', '--data', {data!r}]) == 0",
 }
+
+
+def test_simulate_never_imports_sweep(tmp_path):
+    (tmp_path / "tiny.json").write_text(json.dumps({"simulate": {"n_agents": 10,
+                                                                 "t_max": 100}}))
+    code = ("import sys\nfrom kinex.cli import main\n"
+            "assert main(['simulate', '--config', 'tiny.json', '--out', 'out']) == 0\n"
+            "loaded = {'kinex.sweep', 'concurrent.futures'} & set(sys.modules)\n"
+            "assert not loaded, loaded")
+    proc = fresh_python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("name", NUMPY_FREE)

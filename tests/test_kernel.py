@@ -42,6 +42,7 @@ from kinex import (SimulationParams, SweepSpec, _backend, exchange, kendall_tau,
 from kinex.cli import main
 from kinex._backend import _c_backend, _python_backend, _resolve_backend
 from kinex.exchange import _BLOCK, _draw_block
+from test_cli import _tree_bytes
 from test_exchange import REPLAY_CASES, SPAN, replay_one_step_at_a_time
 from test_golden import RUN_GOLDENS, SWEEP_CONFIG, SWEEP_CSV_SHA256
 
@@ -292,6 +293,23 @@ tie_heavy_pair = st.integers(min_value=2, max_value=200).flatmap(
 MERGE_EDGE_SIZES = sorted({2, 3} | {2**k + d for k in range(2, 12) for d in (-1, 0, 1)})
 
 
+# the C radix sort moves entries a byte at a time through 256 buckets
+RADIX_SIZES = (2, 3, 255, 256, 257)
+# finite extremes of both signs, the two zeros and subnormals
+EXTREME_VALUES = (-1.7976931348623157e308, -1e308, -1.5, -2.2250738585072014e-308, -1e-310,
+                  -5e-324, -0.0, 0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.5, 1e308,
+                  1.7976931348623157e308)
+extreme_pair = st.integers(min_value=2, max_value=300).flatmap(
+    lambda n: st.tuples(*[st.lists(st.one_of(st.sampled_from(EXTREME_VALUES),
+                                             st.floats(allow_nan=False, allow_infinity=False)),
+                                   min_size=n, max_size=n)] * 2))
+
+
+def doubles(bits) -> np.ndarray:
+    """The float64 values of 64-bit patterns."""
+    return np.asarray(bits, dtype=np.uint64).view(np.float64)
+
+
 class TestTau:
     @settings(max_examples=150, deadline=None)
     @given(pair=tie_heavy_pair)
@@ -303,6 +321,35 @@ class TestTau:
         rng = np.random.default_rng(n)
         assert_counts_agree(c_backend, rng.random(n), rng.random(n))
         assert_counts_agree(c_backend, rng.integers(0, 3, n), rng.choice(TIE_VALUES, n))
+
+    @pytest.mark.parametrize("n", RADIX_SIZES)
+    def test_c_counts_equal_numpy_around_one_digit_of_buckets(self, c_backend, n):
+        rng = np.random.default_rng(n)
+        assert_counts_agree(c_backend, rng.random(n), rng.random(n))
+        # n distinct values, then each of 256 values drawn n times over
+        assert_counts_agree(c_backend, rng.permutation(n), rng.permutation(n) % 256)
+        assert_counts_agree(c_backend, rng.integers(0, 256, n), -rng.integers(0, 256, n))
+
+    @pytest.mark.parametrize("n", RADIX_SIZES)
+    def test_c_counts_equal_numpy_on_keys_one_byte_apart(self, c_backend, n):
+        # every other radix pass is skipped: the keys share all their other bytes
+        rng = np.random.default_rng(n)
+        low = rng.integers(0, 256, size=(2, n), dtype=np.uint64)
+        one = np.uint64(0x3FF0_0000_0000_0000)  # 1.0
+        sign = np.uint64(1 << 63)
+        assert_counts_agree(c_backend, doubles(one | low[0]), doubles(one | low[1]))
+        assert_counts_agree(c_backend, doubles(one | low[0]), doubles(sign | one | low[1]))
+        # top bytes 0x00 to 0x7F are +0.0 and positive normals up to 2**1009, and
+        # 0x81 to 0xFF their negatives; 0x80 is -0.0, keyed as +0.0
+        top = rng.integers(0, 0x80, size=(2, n), dtype=np.uint64) << np.uint64(56)
+        negative = rng.integers(0x81, 0x100, n, dtype=np.uint64) << np.uint64(56)
+        assert_counts_agree(c_backend, doubles(top[0]), doubles(top[1]))
+        assert_counts_agree(c_backend, doubles(top[0]), doubles(negative))
+
+    @settings(max_examples=150, deadline=None)
+    @given(pair=extreme_pair)
+    def test_c_counts_equal_numpy_on_extreme_values(self, c_backend, pair):
+        assert_counts_agree(c_backend, *pair)
 
     def test_c_counts_equal_numpy_on_large_run_snapshots(self, c_backend):
         # about e**-2 of the agents have not traded by t = 1e5: they tie at 1.0
@@ -608,6 +655,31 @@ class TestBackendSelection:
         monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
         with pytest.warns(RuntimeWarning, match="C exchange kernel is unavailable"):
             assert _resolve_backend().name == "python"
+
+    def test_cache_home_that_is_a_file_falls_back_once_with_the_c_tree(
+            self, c_backend, fresh_resolution, tmp_path, monkeypatch):
+        (tmp_path / "tiny.json").write_text(json.dumps({"simulate": {"n_agents": 50,
+                                                                     "t_max": 2000}}))
+
+        def simulate(where):  # the same command line in a directory of its own
+            (tmp_path / where).mkdir()
+            monkeypatch.chdir(tmp_path / where)
+            assert main(["simulate", "--config", "../tiny.json", "--out", "out"]) == 0
+            return _tree_bytes(tmp_path / where / "out")
+
+        with on(c_backend):
+            want = simulate("c")
+        blocker = tmp_path / "cache-file"
+        blocker.write_text("")
+        with pytest.raises(OSError) as refused:
+            (blocker / "kinex").mkdir(parents=True, exist_ok=True)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        with pytest.warns(RuntimeWarning) as caught:
+            assert simulate("fallback") == want
+            assert simulate("again") == want
+        assert len(caught) == 1
+        assert f"unavailable ({refused.value})" in str(caught[0].message)
+        assert _resolve_backend().name == "python"
 
     def test_build_leaves_one_library_in_the_cache(self, c_backend, fresh_resolution,
                                                    tmp_path, monkeypatch):

@@ -21,6 +21,21 @@ def brute_force_tau(x, y):
 
 positive_vec = st.lists(st.floats(min_value=1e-3, max_value=1e6, allow_nan=False),
                         min_size=2, max_size=50)
+# non-negative vectors that hold both zeros, in any order, and at least one positive
+zeros_vec = st.lists(st.floats(min_value=0.0, max_value=1e300), min_size=1, max_size=60).filter(
+    lambda v: max(v) > 0.0).flatmap(lambda v: st.permutations(v + [0.0, -0.0]))
+
+
+def elementwise_gini(assets) -> float:
+    """gini with its input checked element by element before the sort, written out."""
+    a = np.asarray(assets, dtype=float)
+    if not np.all(np.isfinite(a)) or np.any(a < 0):
+        raise ValueError("gini requires finite, non-negative assets")
+    r = np.sort(a)
+    total = float(r.sum())
+    n = a.size
+    ranks = np.arange(1, n + 1, dtype=float)
+    return float(2.0 * (ranks * r).sum() / (n * total) - (n + 1) / n)
 
 
 class TestGini:
@@ -52,6 +67,19 @@ class TestGini:
         n = len(assets)
         g = gini(assets)
         assert -1e-12 <= g <= (n - 1) / n + 1e-12
+
+    @given(assets=zeros_vec)
+    def test_equals_the_elementwise_checked_formula_bit_for_bit(self, assets):
+        assert float.hex(gini(assets)) == float.hex(elementwise_gini(assets))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -0.5])
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    def test_non_finite_or_negative_anywhere_gives_one_message(self, bad, position):
+        assets = [1.0, 0.0, 3.0, 2.0, 5.0]
+        assets[position] = bad
+        with pytest.raises(ValueError) as raised:
+            gini(assets)
+        assert str(raised.value) == "gini requires finite, non-negative assets"
 
     def test_rejects_degenerate_and_bad_input(self):
         with pytest.raises(DegenerateDataError):
