@@ -4,7 +4,8 @@
 operations in the same order (choosing the poorer side with masks instead of
 a branch), a C reproduction of ``exchange._draw_block``'s numpy algorithms
 (which draws a 32-bit bound two values per 64-bit word, and one at a time
-where numpy's rejection test may apply), a C count of
+where numpy's rejection test may apply), both joined in one C call per run
+that gives ``exchange._run``'s snapshots, pool and generator state, a C count of
 ``metrics._tau_counts``' pairs (by radix sorts and a Fenwick tree) and a C
 writer of :func:`_format_rows`' CSV rows. Its doubles take Schubfach's
 shortest digits (Giulietti 2020) in ``repr``'s layout, without the paper's
@@ -15,16 +16,19 @@ if its draws give ``_draw_block``'s values and generator state and its rows
 ``_format_rows``' bytes on fixed probes; ctypes checks the dtype,
 dimension, layout and, for the arrays C writes, writeability of each array
 handed to C.
-The C draws of a block fill thirds of one buffer per thread
-(:func:`_draw_arrays`): any thread but the main one keeps it for all its
-runs, and the main thread frees it once a run returns.
+A C run draws each block's i and j into 8 bytes a step of one buffer per
+thread (:func:`_draw_buffer`), and its eps as each step needs it; the C
+draws of one block take 24 bytes a step of it. Any thread but the main one
+keeps the buffer for all its runs, the main thread only during a sweep
+(:func:`_keep_draw_buffer`), and otherwise frees it once a run returns.
 :func:`_python_backend` returns the references. Runs, tau and numeric tables
 take the C backend when it loads, else the Python references with one
-warning; only the draws, the loop body, the tau pair counts and the row
-formatting differ, and the results are bit-identical. The backend is
+warning; only the runs, the draws, the loop body, the tau pair counts and
+the row formatting differ, and the results are bit-identical. The backend is
 resolved once per process on first use.
 """
 
+import contextlib
 import csv
 import functools
 import io
@@ -38,34 +42,50 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from .params import SimulationParams
+
 # -ffp-contract=off forbids fused multiply-adds. -ffast-math and
 # -march=native must never be added: either one changes result bits.
 _CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 
 # each thread's draw buffer; the main thread holds only a weak reference, which
-# dies with the last block arrays of its run
+# dies with the last block arrays or run that uses it, unless a sweep keeps it
 _draws = threading.local()
 
 
-def _draw_arrays(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The i, j and eps arrays of one block of ``size`` steps: thirds of this
-    thread's buffer, eps a float64 view, reallocated only for a larger block."""
+def _draw_buffer(size: int) -> np.ndarray:
+    """At least ``size`` bytes of this thread's draw buffer, reallocated only
+    when a larger one is asked for."""
     buffer = getattr(_draws, "buffer", None)
     if isinstance(buffer, weakref.ref):
         buffer = buffer()
-    if buffer is None or len(buffer) < 3 * size:
-        buffer = np.empty(3 * size, np.int64)
-        main = threading.current_thread() is threading.main_thread()
-        _draws.buffer = weakref.ref(buffer) if main else buffer
-    ii, jj, ee = buffer[:3 * size].reshape(3, size)
-    return ii, jj, ee.view(np.float64)
+    if buffer is None or len(buffer) < size:
+        buffer = np.empty(size, np.uint8)
+        weak = (threading.current_thread() is threading.main_thread()
+                and not getattr(_draws, "keep", False))
+        _draws.buffer = weakref.ref(buffer) if weak else buffer
+    return buffer[:size]
+
+
+@contextlib.contextmanager
+def _keep_draw_buffer():
+    """Let the main thread keep its draw buffer, as every other thread does,
+    until the block exits; then drop it."""
+    _draws.keep = True
+    try:
+        yield
+    finally:
+        _draws.keep = False
+        if threading.current_thread() is threading.main_thread():
+            _draws.buffer = None
 
 
 class _Backend(NamedTuple):
     name: str              # "c" or "python"
     exchange: Callable     # the loop body, with the signature of exchange._exchange
     draw: Callable         # (rng, n, size) -> the arrays of exchange._draw_block
+    run: Callable          # (rng, params) -> the snapshots and pool of exchange._run
     tau_counts: Callable   # (x, y) float64 vectors -> the pair counts of metrics._tau_counts
     format_rows: Callable  # int64 and float64 columns -> _format_rows' bytes, or a view of them
 
@@ -141,14 +161,21 @@ def _c_backend() -> _Backend:
                      for t in (np.int64, np.float64, np.uint64))
     i64w, f64w, u8w = (np.ctypeslib.ndpointer(t, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
                        for t in (np.int64, np.float64, np.uint8))
+    from . import exchange  # here: exchange imports this module
     library = ctypes.CDLL(str(path))
     kernel = library.kinex_exchange
     kernel.restype = ctypes.c_double
     kernel.argtypes = (f64w, i64, i64, f64, ctypes.c_int64) + (ctypes.c_double,) * 3
+    words = ctypes.POINTER(ctypes.c_uint64)  # the generator state, in and out
     draw_kernel = library.kinex_draw
     draw_kernel.restype = None
-    draw_kernel.argtypes = (ctypes.POINTER(ctypes.c_uint64), ctypes.c_int64, ctypes.c_int64,
-                            i64w, i64w, f64w)
+    draw_kernel.argtypes = (words, ctypes.c_int64, ctypes.c_int64, i64w, i64w, f64w)
+    run_kernel = library.kinex_run
+    run_kernel.restype = ctypes.c_double
+    run_kernel.argtypes = ((words, f64w) + (ctypes.c_int64,) * 3 + (i64, ctypes.c_int64)
+                           + (np.ctypeslib.ndpointer(np.float64, ndim=2,
+                                                     flags="C_CONTIGUOUS,WRITEABLE"), u8w)
+                           + (ctypes.c_double,) * 2)
     tau_kernel = library.kinex_tau_counts
     tau_kernel.restype = None
     tau_kernel.argtypes = (f64, f64, ctypes.c_int64, i64w, i64w)
@@ -157,33 +184,54 @@ def _c_backend() -> _Backend:
     format_kernel.argtypes = (u64,) + (ctypes.c_int64,) * 3 + (u64, u8w)
     pow10 = _pow10_table()
 
-    def exchange(assets: np.ndarray, ii: np.ndarray, jj: np.ndarray, ee: np.ndarray,
-                 saving_rate: float, surplus_rate: float, cumulative: float) -> float:
+    def exchange_step(assets: np.ndarray, ii: np.ndarray, jj: np.ndarray, ee: np.ndarray,
+                      saving_rate: float, surplus_rate: float, cumulative: float) -> float:
         if not len(ii) == len(jj) == len(ee):  # the kernel reads all three as far as ii
             raise ValueError("the C exchange needs i, j and eps blocks of one length")
         return kernel(assets, ii, jj, ee, len(ii), saving_rate, surplus_rate, cumulative)
 
-    def draw(rng: np.random.Generator, n: int,
-             size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # _draw_block(rng, n, size) into this thread's draw buffer; the generator
-        # state goes to C and back through numpy's public state dict
-        if n < 2:  # the kernel would divide by zero
-            raise ValueError(f"need n >= 2 agents to draw pairs, got {n}")
-        ii, jj, ee = _draw_arrays(size)
+    def on_pcg64(rng: np.random.Generator, kernel: Callable, *args):
+        # kernel(state words, *args), with the generator's state going to C and
+        # back through numpy's public state dict
         bitgen = rng.bit_generator
         with bitgen.lock:
             state = bitgen.state
             if state["bit_generator"] != "PCG64":
                 raise TypeError(f"the C draws need PCG64, not {state['bit_generator']}")
             pcg = state["state"]
-            words = (ctypes.c_uint64 * 6)(*divmod(pcg["state"], 1 << 64),  # high word first
-                                          *divmod(pcg["inc"], 1 << 64),
-                                          state["has_uint32"], state["uinteger"])
-            draw_kernel(words, n, size, ii, jj, ee)
-            pcg["state"] = words[0] << 64 | words[1]
-            state["has_uint32"], state["uinteger"] = words[4], words[5]
+            st = (ctypes.c_uint64 * 6)(*divmod(pcg["state"], 1 << 64),  # high word first
+                                       *divmod(pcg["inc"], 1 << 64),
+                                       state["has_uint32"], state["uinteger"])
+            result = kernel(st, *args)
+            pcg["state"] = st[0] << 64 | st[1]
+            state["has_uint32"], state["uinteger"] = st[4], st[5]
             bitgen.state = state
+        return result
+
+    def draw(rng: np.random.Generator, n: int,
+             size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # _draw_block(rng, n, size) into thirds of 24 bytes a step of this
+        # thread's draw buffer
+        if n < 2:  # the kernel would divide by zero
+            raise ValueError(f"need n >= 2 agents to draw pairs, got {n}")
+        ii, jj, ee = _draw_buffer(24 * size).view(np.int64).reshape(3, size)
+        ee = ee.view(np.float64)
+        on_pcg64(rng, draw_kernel, n, size, ii, jj, ee)
         return ii, jj, ee
+
+    def run(rng: np.random.Generator,
+            params: SimulationParams) -> tuple[dict[int, np.ndarray], float]:
+        # exchange._run(rng, params) in one call; its i and j take 8 bytes a step
+        # of this thread's draw buffer (16 where n > 2**32), its eps none
+        n, t_max, times = params.n_agents, params.t_max, params.snapshot_times
+        block = exchange._BLOCK
+        assets = np.full(n, params.initial_asset)
+        rows = np.empty((len(times), n))
+        scratch = _draw_buffer((16 if n > 2**32 else 8) * min(block, t_max))
+        cumulative = on_pcg64(rng, run_kernel, assets, n, t_max, block,
+                              np.array(times, np.int64), len(times), rows, scratch,
+                              params.saving_rate, params.surplus_rate)
+        return dict(zip(times, rows)), cumulative
 
     def tau_counts(x: np.ndarray, y: np.ndarray) -> tuple[int, int, int, int]:
         x = np.ascontiguousarray(x, dtype=np.float64)
@@ -205,10 +253,9 @@ def _c_backend() -> _Backend:
         # a view of the buffer, not a copy: a table's bytes exist once in memory
         return memoryview(buffer)[:format_kernel(cells, n, len(columns), floats, pow10, buffer)]
 
-    from .exchange import _draw_block  # here: exchange imports this module
-    _check_draws(draw, _draw_block)
+    _check_draws(draw, exchange._draw_block)
     _check_format(format_rows, _format_rows)
-    return _Backend("c", exchange, draw, tau_counts, format_rows)
+    return _Backend("c", exchange_step, draw, run, tau_counts, format_rows)
 
 
 def _check_draws(draw: Callable, draw_block: Callable) -> None:
@@ -244,7 +291,7 @@ def _check_format(format_rows: Callable, reference: Callable) -> None:
 def _python_backend() -> _Backend:
     """The ``"python"`` backend: the references in ``exchange``, ``metrics`` and here."""
     from . import exchange, metrics  # here: both import this module
-    return _Backend("python", exchange._exchange, exchange._draw_block,
+    return _Backend("python", exchange._exchange, exchange._draw_block, exchange._run,
                     metrics._tau_counts, _format_rows)
 
 

@@ -1,6 +1,7 @@
 /* Compiled loop body of kinex.exchange._exchange, the draws of
- * kinex.exchange._draw_block, the pair counts of kinex.metrics._tau_counts
- * and the CSV rows of kinex._backend._format_rows.
+ * kinex.exchange._draw_block, the runs of kinex.exchange._run, the pair
+ * counts of kinex.metrics._tau_counts and the CSV rows of
+ * kinex._backend._format_rows.
  *
  * kinex_exchange does the same IEEE double operations as the Python
  * reference in the same order, so results are bit-identical. It is not a
@@ -19,6 +20,13 @@
  * in and an odd tail take the exact one-value path. kinex checks
  * it against _draw_block when it loads this library and does not use it if
  * they differ.
+ *
+ * kinex_run is a whole run in one call, with kinex_exchange's step and
+ * kinex_draw's bounded fill. Each block's i and j go into caller scratch
+ * as uint32, 8 bytes a step, since both are below n <= 2**32 (a larger n
+ * takes 64-bit cells through the same code); each eps is drawn as its step
+ * runs, from the state the j draws leave, which is where _draw_block's eps
+ * come from.
  *
  * kinex_tau_counts counts the same pairs as _tau_counts by Knight's (1966)
  * method, in exact integers: stable radix sorts of order-preserving keys
@@ -47,6 +55,30 @@ static inline double double_of(uint64_t u)
     return v;
 }
 
+/* One exchange between positions i and j, i receiving eps of the pool:
+ * the body of kinex_exchange and of kinex_run. Returns the step's pool. */
+static inline __attribute__((always_inline)) double exchange_step(
+    double *assets, uint64_t i, uint64_t j, double eps, double lam, double gam,
+    double oml, double keep)
+{
+    const double fps = 1.0 - eps;
+    const double mi = assets[i];
+    const double mj = assets[j];
+    /* all ones when i is the poorer side (or the two are equal), else 0 */
+    const uint64_t i_poorer = -(uint64_t)(mi <= mj);
+    const uint64_t bi = bits_of(mi), bj = bits_of(mj);
+    const double lo = double_of((bi & i_poorer) | (bj & ~i_poorer));
+    const double hi = double_of((bj & i_poorer) | (bi & ~i_poorer));
+    const double gap = hi - lo;
+    const double pool = oml * (2.0 * lo + gam * gap);
+    /* keep * gap for the richer side, +0.0 for the poorer: assets are
+     * never -0.0, so lam * m + 0.0 is lam * m bit for bit */
+    const uint64_t kept = bits_of(keep * gap);
+    assets[i] = lam * mi + double_of(kept & ~i_poorer) + eps * pool;
+    assets[j] = lam * mj + double_of(kept & i_poorer) + fps * pool;
+    return pool;
+}
+
 double kinex_exchange(double *assets, const int64_t *ii, const int64_t *jj,
                       const double *ee, int64_t steps, double saving_rate,
                       double surplus_rate, double cumulative)
@@ -55,27 +87,9 @@ double kinex_exchange(double *assets, const int64_t *ii, const int64_t *jj,
     const double gam = surplus_rate;
     const double oml = 1.0 - lam;
     const double keep = oml * (1.0 - gam); /* the richer side's withheld share of the gap */
-    for (int64_t k = 0; k < steps; k++) {
-        const int64_t i = ii[k];
-        const int64_t j = jj[k];
-        const double eps = ee[k];
-        const double fps = 1.0 - eps;
-        const double mi = assets[i];
-        const double mj = assets[j];
-        /* all ones when i is the poorer side (or the two are equal), else 0 */
-        const uint64_t i_poorer = -(uint64_t)(mi <= mj);
-        const uint64_t bi = bits_of(mi), bj = bits_of(mj);
-        const double lo = double_of((bi & i_poorer) | (bj & ~i_poorer));
-        const double hi = double_of((bj & i_poorer) | (bi & ~i_poorer));
-        const double gap = hi - lo;
-        const double pool = oml * (2.0 * lo + gam * gap);
-        /* keep * gap for the richer side, +0.0 for the poorer: assets are
-         * never -0.0, so lam * m + 0.0 is lam * m bit for bit */
-        const uint64_t kept = bits_of(keep * gap);
-        assets[i] = lam * mi + double_of(kept & ~i_poorer) + eps * pool;
-        assets[j] = lam * mj + double_of(kept & i_poorer) + fps * pool;
-        cumulative += pool;
-    }
+    for (int64_t k = 0; k < steps; k++)
+        cumulative += exchange_step(assets, (uint64_t)ii[k], (uint64_t)jj[k], ee[k], lam,
+                                    gam, oml, keep);
     return cumulative;
 }
 
@@ -153,14 +167,34 @@ static inline __attribute__((always_inline)) uint64_t bounded(pcg64 *g, uint64_t
     return (uint64_t)(m >> 64);
 }
 
-/* Fill out with `size` values of bounded(g, rng). A 32-bit rng below
- * 2**32 - 1 takes both halves of each word in one step, low half first as
- * next_uint32 hands them out, and leaves the high half in uinteger as
- * numpy does. bounded() takes a spare half carried in and an odd tail. A
- * pair with a leftover below excl puts its high half back as the spare
- * and finishes the low half by numpy's rejection test; at n <= 1e5 that
- * happens to at most n / 2**32 of the draws. */
-static void fill_bounded(pcg64 *gp, uint64_t rng, int64_t size, int64_t *out)
+/* Read and write cell k of an array of drawn indices: 64 bits wide where
+ * `wide`, else 32, which hold any index below n <= 2**32. */
+static inline __attribute__((always_inline)) uint64_t get_cell(const void *cells, int64_t k,
+                                                              int wide)
+{
+    return wide ? ((const uint64_t *)cells)[k] : ((const uint32_t *)cells)[k];
+}
+
+static inline __attribute__((always_inline)) void put_cell(void *cells, int64_t k, uint64_t v,
+                                                          int wide)
+{
+    if (wide)
+        ((uint64_t *)cells)[k] = v;
+    else
+        ((uint32_t *)cells)[k] = (uint32_t)v;
+}
+
+/* Fill out with `size` values of bounded(g, rng), in cells as get_cell
+ * reads them. A 32-bit rng below 2**32 - 1 takes both halves of each word
+ * in one step, low half first as next_uint32 hands them out, and leaves
+ * the high half in uinteger as numpy does. bounded() takes a spare half
+ * carried in and an odd tail. A pair with a leftover below excl puts its
+ * high half back as the spare and finishes the low half by numpy's
+ * rejection test; at n <= 1e5 that happens to at most n / 2**32 of the
+ * draws. */
+static inline __attribute__((always_inline)) void fill_bounded(pcg64 *gp, uint64_t rng,
+                                                              int64_t size, void *out,
+                                                              int wide)
 {
     pcg64 g = *gp; /* a local copy, so the state stays in registers */
     int64_t k = 0;
@@ -168,7 +202,7 @@ static void fill_bounded(pcg64 *gp, uint64_t rng, int64_t size, int64_t *out)
         const uint32_t excl = (uint32_t)rng + 1u;
         while (k + 1 < size) {
             if (g.has_uint32) {
-                out[k++] = (int64_t)bounded(&g, rng);
+                put_cell(out, k++, bounded(&g, rng), wide);
                 continue;
             }
             const uint64_t word = next_uint64(&g);
@@ -177,40 +211,121 @@ static void fill_bounded(pcg64 *gp, uint64_t rng, int64_t size, int64_t *out)
             g.uinteger = hi;
             if (((uint32_t)m0 < excl) | ((uint32_t)m1 < excl)) {
                 g.has_uint32 = 1;
-                out[k++] = (int64_t)lemire32(&g, m0, (uint32_t)rng);
+                put_cell(out, k++, lemire32(&g, m0, (uint32_t)rng), wide);
                 continue;
             }
-            out[k] = (int64_t)(m0 >> 32);
-            out[k + 1] = (int64_t)(m1 >> 32);
+            put_cell(out, k, m0 >> 32, wide);
+            put_cell(out, k + 1, m1 >> 32, wide);
             k += 2;
         }
     }
     for (; k < size; k++)
-        out[k] = (int64_t)bounded(&g, rng);
+        put_cell(out, k, bounded(&g, rng), wide);
     *gp = g;
 }
 
-/* Draw `size` steps for n agents in _draw_block's order: every i in
- * [0, n), then every j in [0, n - 1) moved past its i, then every eps in
- * [0, 1). n >= 2. `st` holds the generator state in and out as
- * {state >> 64, state & (2**64 - 1), inc >> 64, inc & (2**64 - 1),
- * has_uint32, uinteger}. */
+/* Draw `size` steps' i in [0, n) into ii, then their j in [0, n - 1)
+ * moved past i into jj, as _draw_block does. n >= 2. */
+static inline __attribute__((always_inline)) void draw_pairs(pcg64 *g, uint64_t n, int64_t size,
+                                                            void *ii, void *jj, int wide)
+{
+    fill_bounded(g, n - 1u, size, ii, wide);
+    fill_bounded(g, n - 2u, size, jj, wide);
+    /* a pass of its own: in the paired loop gcc makes this compare a branch */
+    for (int64_t k = 0; k < size; k++) {
+        const uint64_t j = get_cell(jj, k, wide);
+        put_cell(jj, k, j + (j >= get_cell(ii, k, wide)), wide);
+    }
+}
+
+/* Generator.random's double in [0, 1): the top 53 bits of a word. */
+static inline double next_double(pcg64 *g)
+{
+    return (double)(next_uint64(g) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* The generator state that st holds as {state >> 64, state & (2**64 - 1),
+ * inc >> 64, inc & (2**64 - 1), has_uint32, uinteger}, and back. */
+static inline pcg64 load_state(const uint64_t *st)
+{
+    return (pcg64){((u128)st[0] << 64) | st[1], ((u128)st[2] << 64) | st[3], st[4] != 0,
+                   (uint32_t)st[5]};
+}
+
+static inline void store_state(const pcg64 *g, uint64_t *st)
+{
+    st[0] = (uint64_t)(g->state >> 64);
+    st[1] = (uint64_t)g->state;
+    st[4] = (uint64_t)g->has_uint32;
+    st[5] = g->uinteger;
+}
+
+/* Draw `size` steps for n >= 2 agents in _draw_block's order: every i,
+ * every j, then every eps in [0, 1). st holds the generator state in and
+ * out, as load_state reads it. */
 void kinex_draw(uint64_t *st, int64_t n, int64_t size, int64_t *ii, int64_t *jj,
                 double *ee)
 {
-    pcg64 g = {((u128)st[0] << 64) | st[1], ((u128)st[2] << 64) | st[3],
-               st[4] != 0, (uint32_t)st[5]};
-    fill_bounded(&g, (uint64_t)n - 1u, size, ii);
-    fill_bounded(&g, (uint64_t)n - 2u, size, jj);
-    /* a pass of its own: in the paired loop gcc makes this compare a branch */
+    pcg64 g = load_state(st);
+    draw_pairs(&g, (uint64_t)n, size, ii, jj, 1);
     for (int64_t k = 0; k < size; k++)
-        jj[k] += jj[k] >= ii[k];
-    for (int64_t k = 0; k < size; k++)
-        ee[k] = (double)(next_uint64(&g) >> 11) * (1.0 / 9007199254740992.0);
-    st[0] = (uint64_t)(g.state >> 64);
-    st[1] = (uint64_t)g.state;
-    st[4] = (uint64_t)g.has_uint32;
-    st[5] = g.uinteger;
+        ee[k] = next_double(&g);
+    store_state(&g, st);
+}
+
+static inline __attribute__((always_inline)) double run_blocks(
+    pcg64 *gp, double *assets, int64_t n, int64_t t_max, int64_t block,
+    const int64_t *times, int64_t ntimes, double *snapshots, void *scratch,
+    double saving_rate, double surplus_rate, int wide)
+{
+    pcg64 g = *gp;
+    const double lam = saving_rate;
+    const double gam = surplus_rate;
+    const double oml = 1.0 - lam;
+    const double keep = oml * (1.0 - gam); /* the richer side's withheld share of the gap */
+    void *ii = scratch;
+    void *jj = (char *)scratch + (size_t)(block < t_max ? block : t_max) * (wide ? 8 : 4);
+    double cumulative = 0.0;
+    int64_t s = 0; /* the next snapshot */
+    for (int64_t t = 0; t < t_max;) {
+        const int64_t start = t, end = t_max - t < block ? t_max : t + block;
+        draw_pairs(&g, (uint64_t)n, end - start, ii, jj, wide);
+        while (t < end) {
+            /* steps t + 1 .. stop, up to the next snapshot (none for time 0) */
+            const int64_t stop = s < ntimes && times[s] < end ? times[s] : end;
+            for (; t < stop; t++)
+                cumulative += exchange_step(assets, get_cell(ii, t - start, wide),
+                                            get_cell(jj, t - start, wide), next_double(&g),
+                                            lam, gam, oml, keep);
+            if (s < ntimes && times[s] == t)
+                memcpy(snapshots + s++ * n, assets, (size_t)n * sizeof *assets);
+        }
+    }
+    *gp = g;
+    return cumulative;
+}
+
+/* A whole run of _run: t_max steps for n >= 2 agents on assets, in blocks
+ * of `block` steps. Each block's i and then j are drawn into scratch, 2 *
+ * min(block, t_max) cells of 32 bits (of 64 where n > 2**32); then its
+ * steps run, each drawing its eps from the state the j draws leave, where
+ * _draw_block's eps come from. At each of the ntimes ascending times in
+ * [0, t_max], assets are copied into the next n-double row of snapshots.
+ * Returns the cumulative pool; st holds the generator state in and out, as
+ * load_state reads it. */
+double kinex_run(uint64_t *st, double *assets, int64_t n, int64_t t_max, int64_t block,
+                 const int64_t *times, int64_t ntimes, double *snapshots, void *scratch,
+                 double saving_rate, double surplus_rate)
+{
+    pcg64 g = load_state(st);
+    const double cumulative =
+        n > (int64_t)1 << 32
+            ? run_blocks(&g, assets, n, t_max, block, times, ntimes, snapshots, scratch,
+                         saving_rate, surplus_rate, 1)
+            : run_blocks(&g, assets, n, t_max, block, times, ntimes, snapshots, scratch,
+                         saving_rate, surplus_rate, 0);
+    store_state(&g, st);
+    return cumulative;
 }
 
 /* A sort key and the value it carries: an agent index, then a y rank. */

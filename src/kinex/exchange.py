@@ -18,7 +18,10 @@ epsilons), so a given (seed, t_max) always sees the same stream regardless
 of snapshot schedule. ``_BLOCK`` and that draw order are part of the
 reproducibility contract; where snapshots split a block is not. The rule
 and its float operations have one definition, :func:`_exchange`. Both are
-the references any faster kernel must match bit for bit. Seed 0 is legal.
+the references any faster kernel must match bit for bit, and :func:`_run`,
+which composes them block by block, is the reference run. The C backend
+does a whole run in one call that draws a block's i and j into 8 bytes a
+step and each eps as its step runs. Seed 0 is legal.
 """
 
 from __future__ import annotations
@@ -103,19 +106,14 @@ def _exchange(assets: np.ndarray, ii: np.ndarray, jj: np.ndarray, ee: np.ndarray
     return cumulative
 
 
-def run_simulation(params: SimulationParams) -> RunResult:
-    """Run ``t_max`` pairwise exchanges from the all-equal initial state.
-
-    Each tick samples a fresh pair and a fresh epsilon. Asset copies are
-    recorded at every requested snapshot time and the per-step pool is
-    accumulated into a single scalar. Two runs with identical params are
-    bit-identical.
-    """
+def _run(rng: np.random.Generator,
+         params: SimulationParams) -> tuple[dict[int, np.ndarray], float]:
+    """The snapshots and cumulative pool of a run of ``params`` on ``rng``: the
+    reference that composes :func:`_draw_block` and :func:`_exchange`, which
+    any faster run must match bit for bit, leaving the generator in the same
+    state."""
     n = params.n_agents
     t_max = params.t_max
-    rng = np.random.default_rng(params.seed)
-    backend = _backend._resolve_backend()
-
     assets = np.full(n, params.initial_asset)
     snapshots: dict[int, np.ndarray] = {}
     snap_iter = iter(params.snapshot_times)
@@ -125,19 +123,30 @@ def run_simulation(params: SimulationParams) -> RunResult:
     t = 0
     while t < t_max:
         block = min(_BLOCK, t_max - t)
-        ii, jj, ee = backend.draw(rng, n, block)
+        ii, jj, ee = _draw_block(rng, n, block)
         start = t
         end = t + block
         while t < end:
             # steps t+1 .. stop, up to the next snapshot (an empty segment for time 0)
             stop = min(end, next_snap)
             seg = slice(t - start, stop - start)
-            cumulative = backend.exchange(assets, ii[seg], jj[seg], ee[seg],
-                                          params.saving_rate, params.surplus_rate,
-                                          cumulative)
+            cumulative = _exchange(assets, ii[seg], jj[seg], ee[seg],
+                                   params.saving_rate, params.surplus_rate, cumulative)
             t = stop
             if t == next_snap:
                 snapshots[t] = assets.copy()
                 next_snap = next(snap_iter, t_max + 1)
+    return snapshots, cumulative
 
+
+def run_simulation(params: SimulationParams) -> RunResult:
+    """Run ``t_max`` pairwise exchanges from the all-equal initial state.
+
+    Each tick samples a fresh pair and a fresh epsilon. Asset copies are
+    recorded at every requested snapshot time and the per-step pool is
+    accumulated into a single scalar. Two runs with identical params are
+    bit-identical.
+    """
+    rng = np.random.default_rng(params.seed)
+    snapshots, cumulative = _backend._resolve_backend().run(rng, params)
     return RunResult(snapshots=snapshots, cumulative_pool=cumulative, params=params)

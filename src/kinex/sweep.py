@@ -8,27 +8,29 @@ of the t2 snapshot, the flow from the accumulated pool over t_max, and the
 rank correlation between the t1 and t2 snapshots.
 
 Cells and replicates are embarrassingly parallel: each replicate is one
-job on a thread pool, and the aggregation always reduces results in
-(lambda-index, gamma-index, replicate-index) order, so the cells are
-bit-identical regardless of scheduling. The C kernel draws and exchanges
-without the GIL, so threads run it in parallel; the Python fallback gets no
-speed-up from them. The C draws keep one buffer per thread, so each worker
-allocates it once for all its runs. KINEX_THREADS sets the worker count when
-the caller passes none; the count never exceeds ``os.cpu_count()``.
+job. The calling thread and ``workers - 1`` more take job indices in order
+from one counter, and each outcome is stored by index; the aggregation
+reduces them in (lambda-index, gamma-index, replicate-index) order with
+numpy's mean and std bits, so the cells are bit-identical regardless of
+scheduling. A run is one C call without the GIL, so threads run in
+parallel; the Python fallback gets no speed-up from them. Each worker, the
+calling thread included, keeps one draw buffer (8 bytes a step of a block)
+for all its runs. KINEX_THREADS sets the worker count when the caller passes
+none; the count never exceeds ``os.cpu_count()``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
-
-import numpy as np
+import threading
 
 from . import _backend
 from .errors import ConfigError
 from .exchange import run_simulation
+from .fitting import _pairwise_sum
 from .metrics import run_indexes
 from .params import SimulationParams, SweepCell, SweepSpec
 
@@ -38,6 +40,15 @@ def replicate_seed(base_seed: int, lambda_index: int, gamma_index: int,
     """Stable 64-bit child seed for one replicate of one grid cell."""
     packed = struct.pack("<QQQQ", base_seed, lambda_index, gamma_index, replicate)
     return int.from_bytes(hashlib.blake2b(packed, digest_size=8).digest(), "little")
+
+
+def _mean_std(values: tuple[float, ...]) -> tuple[float, float]:
+    """numpy's ``mean`` and ``std`` (1/R normalization) of float64 values, bit
+    for bit: the mean is their pairwise sum over R, and the std the square
+    root of the pairwise sum of ``(x - mean) * (x - mean)`` over R."""
+    count = len(values)
+    mean = _pairwise_sum(list(values)) / count
+    return mean, math.sqrt(_pairwise_sum([(x - mean) * (x - mean) for x in values]) / count)
 
 
 def _resolve_workers(workers: int | None) -> int:
@@ -59,6 +70,8 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SweepCell]:
 
     ``workers`` overrides the KINEX_THREADS / cpu_count default; either is
     capped at ``os.cpu_count()``. Results are identical for any worker count.
+    After a job fails, or raises KeyboardInterrupt, no new job starts; once
+    every worker has stopped, the failure of the lowest job index is raised.
     """
     jobs = [(li, gi, r, replicate_seed(spec.base_seed, li, gi, r))
             for li in range(len(spec.lambda_values))
@@ -81,20 +94,51 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SweepCell]:
 
     # once here: concurrent first calls would race to build the kernel and could warn twice
     _backend._resolve_backend()
-    with ThreadPoolExecutor(max_workers=min(_resolve_workers(workers), len(jobs))) as pool:
-        # a failed job ends the map, which cancels the jobs not yet started
-        outcomes = list(pool.map(replicate_metrics, *zip(*jobs)))
+    outcomes: list = [None] * len(jobs)
+    failures: dict[int, BaseException] = {}  # job index -> what it raised
+    lock = threading.Lock()
+    taken = 0  # jobs handed out, in index order
+
+    def work() -> None:
+        # take the next job until none is left or one has failed
+        nonlocal taken
+        while True:
+            with lock:
+                if failures or taken == len(jobs):
+                    return
+                k = taken
+                taken += 1
+            try:
+                outcomes[k] = replicate_metrics(*jobs[k])
+            except BaseException as exc:  # raised by run_sweep once every worker is done
+                with lock:
+                    failures[k] = exc
+                return
+
+    threads = [threading.Thread(target=work)
+               for _ in range(min(_resolve_workers(workers), len(jobs)) - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        with _backend._keep_draw_buffer():
+            work()
+    finally:
+        with lock:
+            taken = len(jobs)  # however the main thread left, start no new job
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise failures[min(failures)]
 
     cells = []
     for pos in range(0, len(jobs), spec.replicates):
         li, gi, _, _ = jobs[pos]
-        gs, fs, taus = (np.array(v) for v in zip(*outcomes[pos:pos + spec.replicates]))
+        (mean_g, std_g), (mean_f, std_f), (mean_tau, std_tau) = (
+            _mean_std(values) for values in zip(*outcomes[pos:pos + spec.replicates]))
         cells.append(SweepCell(
             saving_rate=spec.lambda_values[li], surplus_rate=spec.gamma_values[gi],
-            mean_g=float(gs.mean()), mean_f=float(fs.mean()),
-            mean_tau=float(taus.mean()),
-            std_g=float(gs.std()), std_f=float(fs.std()),
-            std_tau=float(taus.std()),
+            mean_g=mean_g, mean_f=mean_f, mean_tau=mean_tau,
+            std_g=std_g, std_f=std_f, std_tau=std_tau,
             replicates=spec.replicates,
         ))
     return cells

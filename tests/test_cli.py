@@ -701,6 +701,17 @@ def test_simulate_never_imports_sweep(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_sweep_never_imports_concurrent_futures(tmp_path):
+    (tmp_path / "tiny.json").write_text(json.dumps({"sweep": {
+        "lambda_values": [0.2, 0.5], "gamma_values": [0.5], "n_agents": 10, "t_max": 100,
+        "replicates": 2}}))
+    code = ("import sys\nfrom kinex.cli import main\n"
+            "assert main(['sweep', '--config', 'tiny.json', '--out', 'out']) == 0\n"
+            "assert 'concurrent.futures' not in sys.modules")
+    proc = fresh_python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("name", NUMPY_FREE)
 def test_analysis_never_imports_numpy(tmp_path, table1_path, name):
     (tmp_path / "table.csv").write_text("lambda,gamma,mean_g,mean_f,mean_tau\n"
@@ -739,13 +750,20 @@ def run_without_blas_env(cwd, openblas_threads, *argv):
     no BLAS thread setting but ``OPENBLAS_NUM_THREADS=openblas_threads`` (unless
     None). Its last stdout line is that variable after ``run()``, then the
     count of the process's OS threads ("-" where ``/proc/self/task`` is
-    missing)."""
-    code = ("import os, sys\n"
+    missing). ``Thread.join`` returns before the OS thread is gone, so the
+    count is read once one thread is left, or after 2 s; an OpenBLAS thread
+    never exits, so it still shows."""
+    code = ("import os, sys, time\n"
             "import kinex.cli\n"
             f"sys.argv = ['kinex', *{list(argv)!r}]\n"
             "kinex.cli.run()\n"
             "task = '/proc/self/task'\n"
-            "threads = len(os.listdir(task)) if os.path.isdir(task) else '-'\n"
+            "threads = '-'\n"
+            "if os.path.isdir(task):\n"
+            "    deadline = time.monotonic() + 2.0\n"
+            "    while len(os.listdir(task)) > 1 and time.monotonic() < deadline:\n"
+            "        time.sleep(0.01)\n"
+            "    threads = len(os.listdir(task))\n"
             "print(os.environ.get('OPENBLAS_NUM_THREADS'), threads)\n")
     env = {key: value for key, value in os.environ.items()
            if key not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}

@@ -139,6 +139,42 @@ class TestParity:
         assert float.hex(result.cumulative_pool) == pool_hex
 
 
+class TestRun:
+    """One C call per run against ``exchange._run``, the reference, with
+    ``_BLOCK`` shrunk so that a run crosses many odd blocks and carries a
+    spare half-word from one block's draws into the next."""
+
+    @pytest.mark.parametrize("block", (1, 2, 3, 7, 64))
+    @pytest.mark.parametrize("n", (2, 3, 40))  # at n = 2, j draws nothing
+    @pytest.mark.parametrize("t_max", (5, 200))
+    def test_run_equals_reference(self, c_backend, monkeypatch, block, n, t_max):
+        monkeypatch.setattr(exchange, "_BLOCK", block)
+        edges = {0, block - 1, block, block + 1, 2 * block, 3 * block + 1, t_max - 1, t_max}
+        for seed, times in itertools.product(range(4), ((), tuple(sorted(
+                t for t in edges if 0 <= t <= t_max)))):
+            params = SimulationParams(n_agents=n, saving_rate=0.3, surplus_rate=0.6,
+                                      t_max=t_max, seed=seed, snapshot_times=times)
+            want, got = np.random.default_rng(seed), np.random.default_rng(seed)
+            if seed % 2:  # enter the run with a spare half-word
+                for rng in (want, got):
+                    state = rng.bit_generator.state
+                    state["has_uint32"], state["uinteger"] = 1, 2**32 - seed
+                    rng.bit_generator.state = state
+            want_snapshots, want_pool = PYTHON.run(want, params)
+            got_snapshots, got_pool = c_backend.run(got, params)
+            assert list(got_snapshots) == list(want_snapshots) == list(times)
+            for t, assets in got_snapshots.items():
+                assert assets.dtype == np.float64
+                assert assets.tobytes() == want_snapshots[t].tobytes(), (seed, t)
+            assert float.hex(got_pool) == float.hex(want_pool), seed
+            assert got.bit_generator.state == want.bit_generator.state, seed
+
+    def test_run_refuses_a_generator_it_cannot_reproduce(self, c_backend):
+        params = SimulationParams(n_agents=10, saving_rate=0.5, surplus_rate=0.5, t_max=5)
+        with pytest.raises(TypeError, match="PCG64"):
+            c_backend.run(np.random.Generator(np.random.PCG64DXSM(0)), params)
+
+
 def c_exchange(*args):
     """The C loop, loaded (or the test skipped) at its first call."""
     return load_c_backend().exchange(*args)
@@ -420,10 +456,13 @@ class TestDraws:
 
         monkeypatch.setattr("kinex.sweep.run_simulation", run_and_peek)
         with on(c_backend):
+            # one worker: the main thread runs every job, keeping its buffer meanwhile
             run_sweep(SweepSpec(lambda_values=(0.2, 0.5), gamma_values=(0.5,), n_agents=20,
                                 t_max=200, replicates=2), workers=1)
             assert len(seen) == 4 and isinstance(seen[0], np.ndarray)
+            assert len(seen[0]) == 8 * 200  # a 32-bit i and j per step
             assert all(buffers is seen[0] for buffers in seen)
+            assert live_draw_buffer() is None  # dropped when the sweep returned
             run_and_peek(SimulationParams(n_agents=20, saving_rate=0.5, surplus_rate=0.5,
                                           t_max=200))
         assert seen[-1] is None  # a run on the main thread frees its own
@@ -450,7 +489,8 @@ def live_draw_buffer():
 
 class TestDrawBuffer:
     """Who keeps the C draws' buffer: every thread but the main one for all its
-    runs, the main thread only while a run holds a block's arrays."""
+    runs, the main thread for a sweep's runs, else only while a run or a
+    block's arrays hold it."""
 
     def test_sweep_workers_and_plain_threads_keep_one_buffer(self, c_backend, monkeypatch):
         seen = {}  # thread -> its draw buffer after each of its runs
@@ -475,23 +515,25 @@ class TestDrawBuffer:
         assert not thread.is_alive() and thread in seen
         assert sum(map(len, seen.values())) == 6 + 3  # the sweep's runs, then the thread's
         for buffers in seen.values():
-            assert isinstance(buffers[0], np.ndarray) and len(buffers[0]) == 3 * 200
+            assert isinstance(buffers[0], np.ndarray) and len(buffers[0]) == 8 * 200
             assert all(buffer is buffers[0] for buffer in buffers)
 
-    def test_every_block_of_a_main_thread_run_draws_into_one_buffer(self, c_backend):
-        buffers = []  # a weak reference to the buffer behind each block's arrays
+    def test_every_block_of_a_main_thread_run_draws_into_one_buffer(self, c_backend,
+                                                                    monkeypatch):
+        buffers = []  # the size of and a weak reference to each buffer a run draws into
+        draw_buffer_of_thread = _backend._draw_buffer
 
-        def draw(rng, n, size):
-            arrays = c_backend.draw(rng, n, size)
-            buffers.append(weakref.ref(arrays[0].base))
-            assert all(ref() is arrays[0].base for ref in buffers)  # still the first block's
-            return arrays
+        def draw_buffer(size):
+            scratch = draw_buffer_of_thread(size)
+            buffers.append((size, weakref.ref(scratch.base)))
+            return scratch
 
-        with on(c_backend._replace(draw=draw)):
-            run_simulation(SimulationParams(n_agents=20, saving_rate=0.5, surplus_rate=0.5,
-                                            t_max=3 * _BLOCK + 5))
-        assert len(buffers) == 4
-        assert all(ref() is None for ref in buffers)  # freed when the run returned
+        monkeypatch.setattr(_backend, "_draw_buffer", draw_buffer)
+        run_with(c_backend, SimulationParams(n_agents=20, saving_rate=0.5, surplus_rate=0.5,
+                                             t_max=3 * _BLOCK + 5))
+        # four blocks, one call: a 32-bit i and j per step of the largest block
+        assert [size for size, _ in buffers] == [8 * _BLOCK]
+        assert buffers[0][1]() is None  # freed when the run returned
 
     def test_no_draw_buffer_outlives_a_main_thread_run(self, c_backend):
         assert threading.current_thread() is threading.main_thread()

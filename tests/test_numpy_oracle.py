@@ -1,9 +1,10 @@
-"""The numpy-free sum, fit and percentiles against numpy, bit for bit.
+"""The numpy-free sum, fit, percentiles and sweep cells against numpy, bit for bit.
 
 ``kinex fit`` and ``kinex empirical`` compute in plain Python so that they
-start without numpy. numpy stays the oracle: ``ndarray.sum()``, the least
-squares fit written with arrays, and ``np.percentile``. Results are compared
-by ``float.hex``, which tells -0.0 from 0.0.
+start without numpy, and ``run_sweep`` reduces its cells the same way.
+numpy stays the oracle: ``ndarray.sum()``, the least squares fit written
+with arrays, ``np.percentile``, ``np.mean`` and ``np.std``. Results are
+compared by ``float.hex``, which tells -0.0 from 0.0.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from kinex import DegenerateDataError, DerivedRecord, fit_linear, percentile_thresholds
 from kinex.fitting import _pairwise_sum
+from kinex.sweep import _mean_std
 
 # the lengths at which numpy's pairwise sum changes shape: the plain loop
 # below 8, the eight partial sums up to 128, the split above
@@ -95,6 +97,39 @@ class TestPairwiseSum:
         # terms of one scale, where the order of the additions shows in the last bits
         values = np.random.default_rng(seed).random(n)
         assert bits(_pairwise_sum(values.tolist())) == bits(numpy_sum(values))
+
+
+# replicate counts on either side of the 8 and 128 boundaries of the pairwise sum
+REPLICATES = [1, 2, 3, 7, 8, 9, 16, 17, 127, 128, 129, 136, 255, 256, 257, 300]
+
+
+class TestCellMeanStd:
+    """A sweep cell's mean and std over replicates, against numpy's."""
+
+    @staticmethod
+    def assert_matches_numpy(values):
+        with np.errstate(all="ignore"):  # squares may overflow to inf
+            want = (np.mean(np.array(values)), np.std(np.array(values)))
+        assert list(map(bits, _mean_std(tuple(values)))) == list(map(bits, want))
+
+    @settings(max_examples=80, deadline=None)
+    @given(sized(FLOATS, REPLICATES))
+    @example([-0.0])
+    @example([-0.0, 0.0, -0.0])
+    @example([-0.0] * 129)
+    @example([1e300, -1e300] * 4)
+    @example([5e-324] * 9)
+    def test_drawn_values(self, values):
+        self.assert_matches_numpy(values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(-300, 300))
+    def test_random_cells(self, seed, count, exponent):
+        # values of one scale, as a cell's g, f or tau replicates are
+        rng = np.random.default_rng(seed)
+        values = rng.normal(1.0, 0.1, count) * 10.0 ** exponent
+        values[rng.random(count) < 0.05] = -0.0
+        self.assert_matches_numpy(values.tolist())
 
 
 class TestFitLinear:

@@ -1,4 +1,6 @@
 import os
+import sys
+import threading
 import time
 import warnings
 
@@ -146,6 +148,68 @@ class TestRunSweep:
                                match="lambda=0.2 gamma=0.5 replicate=0 failed: boom"):
                 run_sweep(spec, workers=workers)
             assert len(started) < 40  # the first failure cancels the jobs not yet started
+
+    def test_lowest_failed_job_is_reported_when_a_later_one_fails_first(self, monkeypatch):
+        spec = small_spec()
+        index = {replicate_seed(spec.base_seed, 0, 0, r): r for r in range(2)}  # jobs 0, 1
+        failed = []
+
+        def fail(params):
+            job = index.get(params.seed)
+            if job == 0:
+                time.sleep(0.2)  # job 1, on the other worker, fails meanwhile
+            failed.append(job)
+            raise FloatingPointError(f"job {job}")
+
+        monkeypatch.setattr(kinex.sweep, "run_simulation", fail)
+        with pytest.raises(RuntimeError,
+                           match="lambda=0.2 gamma=0.5 replicate=0 failed: job 0"):
+            run_sweep(spec, workers=2)
+        assert failed == [1, 0]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_keyboard_interrupt_stops_the_sweep(self, monkeypatch, workers):
+        spec = small_spec(replicates=10)  # 40 jobs
+        interrupt = replicate_seed(spec.base_seed, 0, 0, 3)
+        started = []
+
+        def run_or_interrupt(params):
+            started.append(params.seed)
+            time.sleep(0.01)
+            if params.seed == interrupt:
+                raise KeyboardInterrupt
+            return run_simulation(params)
+
+        monkeypatch.setattr(kinex.sweep, "run_simulation", run_or_interrupt)
+        before = set(threading.enumerate())
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(spec, workers=workers)
+        assert interrupt in started and len(started) < 40
+        assert set(threading.enumerate()) == before  # every worker was joined
+
+    def test_workers_take_every_job_once_under_fast_switching(self, monkeypatch):
+        # more workers than cores, switching threads every microsecond: a job
+        # handed out twice or never would change the count or the cells
+        spec = small_spec(n_agents=20, t_max=200, replicates=8)  # 32 jobs
+        serial = run_sweep(spec, workers=1)
+        started = []
+
+        def run_and_count(params):
+            started.append(params.seed)
+            return run_simulation(params)
+
+        monkeypatch.setattr(kinex.sweep, "run_simulation", run_and_count)
+        monkeypatch.setattr(os, "cpu_count", lambda: 16)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            cells = run_sweep(spec, workers=16)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(started) == sorted(replicate_seed(spec.base_seed, li, gi, r)
+                                         for li in range(2) for gi in range(2)
+                                         for r in range(8))
+        assert cells == serial
 
 
 def gini_series(params):
