@@ -2,7 +2,9 @@
 
 ``_kernel.c`` holds a C loop that does ``exchange._exchange``'s float
 operations in the same order (choosing the poorer side with masks instead of
-a branch), a C reproduction of ``exchange._draw_block``'s numpy algorithms
+a branch, on two steps at once in the lanes of a 16-byte vector where their
+four agents are distinct, and on one lane where a step shares an agent with
+the one before it), a C reproduction of ``exchange._draw_block``'s numpy algorithms
 (which draws a 32-bit bound two values per 64-bit word, and one at a time
 where numpy's rejection test may apply), both joined in one C call per run
 that gives ``exchange._run``'s snapshots, pool and generator state, a C count of
@@ -17,7 +19,8 @@ if its draws give ``_draw_block``'s values and generator state and its rows
 dimension, layout and, for the arrays C writes, writeability of each array
 handed to C.
 A C run draws each block's i and j into 8 bytes a step of one buffer per
-thread (:func:`_draw_buffer`), and its eps as each step needs it; the C
+thread (:func:`_draw_buffer`), moves each j past its i as its step reads
+it, and draws its eps as each step needs it; the C
 draws of one block take 24 bytes a step of it. Any thread but the main one
 keeps the buffer for all its runs, the main thread only during a sweep
 (:func:`_keep_draw_buffer`), and otherwise frees it once a run returns.

@@ -7,7 +7,9 @@
  * reference in the same order, so results are bit-identical. It is not a
  * line-for-line transliteration: it picks the poorer and the richer side
  * with integer masks instead of a branch, which random pairs would make
- * the CPU mispredict about half the time.
+ * the CPU mispredict about half the time. The rule is written once over
+ * two lanes of a 16-byte vector (SSE2 on x86-64, NEON on aarch64), whose
+ * lane operations are the scalar ones; a lone step runs on lane 0.
  * Build with -O2 -ffp-contract=off and never with -ffast-math or
  * -march=native: a fused multiply-add or a reordered sum changes the last
  * bits.
@@ -21,12 +23,14 @@
  * it against _draw_block when it loads this library and does not use it if
  * they differ.
  *
- * kinex_run is a whole run in one call, with kinex_exchange's step and
+ * kinex_run is a whole run in one call, with kinex_exchange's rule and
  * kinex_draw's bounded fill. Each block's i and j go into caller scratch
  * as uint32, 8 bytes a step, since both are below n <= 2**32 (a larger n
- * takes 64-bit cells through the same code); each eps is drawn as its step
- * runs, from the state the j draws leave, which is where _draw_block's eps
- * come from.
+ * takes 64-bit cells through the same code); each j is moved past its i as
+ * its step reads it, and each eps is drawn as its step runs, from the state
+ * the j draws leave, which is where _draw_block's eps come from. Two
+ * neighbouring steps on four distinct agents run as one, a lane each; a
+ * step that shares an agent with the one before it runs alone.
  *
  * kinex_tau_counts counts the same pairs as _tau_counts by Knight's (1966)
  * method, in exact integers: stable radix sorts of order-preserving keys
@@ -55,28 +59,46 @@ static inline double double_of(uint64_t u)
     return v;
 }
 
-/* One exchange between positions i and j, i receiving eps of the pool:
- * the body of kinex_exchange and of kinex_run. Returns the step's pool. */
+/* Two lanes of doubles and of their bit masks: GCC's generic vectors, SSE2
+ * on x86-64 and NEON on aarch64, whose lane operations are the scalar IEEE
+ * ones, so each lane gives the one-step bits. */
+typedef double v2d __attribute__((vector_size(16)));
+typedef int64_t v2i __attribute__((vector_size(16)));
+
+/* The rule on two independent steps, one per lane: mi and mj hold each
+ * lane's two agents' assets and become their new ones, i receiving eps of
+ * the pool. Returns each lane's pool. */
+static inline __attribute__((always_inline)) v2d exchange_rule(v2d *mi, v2d *mj, v2d eps,
+                                                              double lam, double gam,
+                                                              double oml, double keep)
+{
+    const v2d fps = 1.0 - eps;
+    /* all ones in a lane where i is the poorer side (or the two are equal) */
+    const v2i i_poorer = *mi <= *mj;
+    const v2i bi = (v2i)*mi, bj = (v2i)*mj;
+    const v2d lo = (v2d)((bi & i_poorer) | (bj & ~i_poorer));
+    const v2d hi = (v2d)((bj & i_poorer) | (bi & ~i_poorer));
+    const v2d gap = hi - lo;
+    const v2d pool = oml * (2.0 * lo + gam * gap);
+    /* keep * gap for the richer side, +0.0 for the poorer: assets are
+     * never -0.0, so lam * m + 0.0 is lam * m bit for bit */
+    const v2i kept = (v2i)(keep * gap);
+    *mi = lam * *mi + (v2d)(kept & ~i_poorer) + eps * pool;
+    *mj = lam * *mj + (v2d)(kept & i_poorer) + fps * pool;
+    return pool;
+}
+
+/* One exchange between positions i and j, on lane 0 of the rule: the body
+ * of kinex_exchange and of kinex_run's lone steps. Returns the step's pool. */
 static inline __attribute__((always_inline)) double exchange_step(
     double *assets, uint64_t i, uint64_t j, double eps, double lam, double gam,
     double oml, double keep)
 {
-    const double fps = 1.0 - eps;
-    const double mi = assets[i];
-    const double mj = assets[j];
-    /* all ones when i is the poorer side (or the two are equal), else 0 */
-    const uint64_t i_poorer = -(uint64_t)(mi <= mj);
-    const uint64_t bi = bits_of(mi), bj = bits_of(mj);
-    const double lo = double_of((bi & i_poorer) | (bj & ~i_poorer));
-    const double hi = double_of((bj & i_poorer) | (bi & ~i_poorer));
-    const double gap = hi - lo;
-    const double pool = oml * (2.0 * lo + gam * gap);
-    /* keep * gap for the richer side, +0.0 for the poorer: assets are
-     * never -0.0, so lam * m + 0.0 is lam * m bit for bit */
-    const uint64_t kept = bits_of(keep * gap);
-    assets[i] = lam * mi + double_of(kept & ~i_poorer) + eps * pool;
-    assets[j] = lam * mj + double_of(kept & i_poorer) + fps * pool;
-    return pool;
+    v2d mi = {assets[i]}, mj = {assets[j]};
+    const v2d pool = exchange_rule(&mi, &mj, (v2d){eps}, lam, gam, oml, keep);
+    assets[i] = mi[0];
+    assets[j] = mj[0];
+    return pool[0];
 }
 
 double kinex_exchange(double *assets, const int64_t *ii, const int64_t *jj,
@@ -225,7 +247,8 @@ static inline __attribute__((always_inline)) void fill_bounded(pcg64 *gp, uint64
 }
 
 /* Draw `size` steps' i in [0, n) into ii, then their j in [0, n - 1)
- * moved past i into jj, as _draw_block does. n >= 2. */
+ * moved past i into jj, as _draw_block does. n >= 2. kinex_run moves j
+ * as it reads it instead. */
 static inline __attribute__((always_inline)) void draw_pairs(pcg64 *g, uint64_t n, int64_t size,
                                                             void *ii, void *jj, int wide)
 {
@@ -289,14 +312,41 @@ static inline __attribute__((always_inline)) double run_blocks(
     int64_t s = 0; /* the next snapshot */
     for (int64_t t = 0; t < t_max;) {
         const int64_t start = t, end = t_max - t < block ? t_max : t + block;
-        draw_pairs(&g, (uint64_t)n, end - start, ii, jj, wide);
+        fill_bounded(&g, (uint64_t)n - 1u, end - start, ii, wide);
+        fill_bounded(&g, (uint64_t)n - 2u, end - start, jj, wide);
         while (t < end) {
             /* steps t + 1 .. stop, up to the next snapshot (none for time 0) */
             const int64_t stop = s < ntimes && times[s] < end ? times[s] : end;
-            for (; t < stop; t++)
-                cumulative += exchange_step(assets, get_cell(ii, t - start, wide),
-                                            get_cell(jj, t - start, wide), next_double(&g),
-                                            lam, gam, oml, keep);
+            while (t < stop) {
+                /* j is moved past i as it is read: gcc makes this a cmp/sbb */
+                const uint64_t i0 = get_cell(ii, t - start, wide);
+                const uint64_t j0 = get_cell(jj, t - start, wide);
+                const uint64_t j0s = j0 + (j0 >= i0);
+                if (t + 1 < stop) {
+                    const uint64_t i1 = get_cell(ii, t + 1 - start, wide);
+                    const uint64_t j1 = get_cell(jj, t + 1 - start, wide);
+                    const uint64_t j1s = j1 + (j1 >= i1);
+                    /* two steps on four distinct agents run as one, in two lanes */
+                    if ((i1 != i0) & (i1 != j0s) & (j1s != i0) & (j1s != j0s)) {
+                        const double e0 = next_double(&g);
+                        const double e1 = next_double(&g);
+                        v2d mi = {assets[i0], assets[i1]}, mj = {assets[j0s], assets[j1s]};
+                        const v2d pool = exchange_rule(&mi, &mj, (v2d){e0, e1}, lam, gam,
+                                                       oml, keep);
+                        assets[i0] = mi[0];
+                        assets[j0s] = mj[0];
+                        assets[i1] = mi[1];
+                        assets[j1s] = mj[1];
+                        cumulative += pool[0];
+                        cumulative += pool[1];
+                        t += 2;
+                        continue;
+                    }
+                }
+                cumulative += exchange_step(assets, i0, j0s, next_double(&g), lam, gam,
+                                            oml, keep);
+                t++;
+            }
             if (s < ntimes && times[s] == t)
                 memcpy(snapshots + s++ * n, assets, (size_t)n * sizeof *assets);
         }
@@ -307,9 +357,13 @@ static inline __attribute__((always_inline)) double run_blocks(
 
 /* A whole run of _run: t_max steps for n >= 2 agents on assets, in blocks
  * of `block` steps. Each block's i and then j are drawn into scratch, 2 *
- * min(block, t_max) cells of 32 bits (of 64 where n > 2**32); then its
- * steps run, each drawing its eps from the state the j draws leave, where
- * _draw_block's eps come from. At each of the ntimes ascending times in
+ * min(block, t_max) cells of 32 bits (of 64 where n > 2**32), and each j is
+ * moved past its i as the step reads it; then its steps run, each drawing
+ * its eps from the state the j draws leave, where _draw_block's eps come
+ * from. Two neighbouring steps whose four agents are distinct run as one in
+ * two lanes, eps in stream order and the first step's pool added first; a
+ * step that shares an agent with the one before it, or ends a segment
+ * alone, runs on one lane. At each of the ntimes ascending times in
  * [0, t_max], assets are copied into the next n-double row of snapshots.
  * Returns the cumulative pool; st holds the generator state in and out, as
  * load_state reads it. */

@@ -15,8 +15,9 @@ numpy's mean and std bits, so the cells are bit-identical regardless of
 scheduling. A run is one C call without the GIL, so threads run in
 parallel; the Python fallback gets no speed-up from them. Each worker, the
 calling thread included, keeps one draw buffer (8 bytes a step of a block)
-for all its runs. KINEX_THREADS sets the worker count when the caller passes
-none; the count never exceeds ``os.cpu_count()``.
+for all its runs. KINEX_THREADS, a positive integer in ASCII digits, sets the
+worker count when the caller passes none; the count never exceeds
+``os.cpu_count()``.
 """
 
 from __future__ import annotations
@@ -58,10 +59,13 @@ def _resolve_workers(workers: int | None) -> int:
         env = os.environ.get("KINEX_THREADS")
         if not env:
             return cores
-        try:
-            workers = int(env)
-        except ValueError:
-            raise ConfigError(f"KINEX_THREADS must be an integer, got {env!r}") from None
+        digits = env.lstrip("0")
+        if not (env.isascii() and env.isdigit() and digits):
+            raise ConfigError(f"KINEX_THREADS must be a positive integer in ASCII digits, "
+                              f"got {env!r}")
+        # int() refuses over 4300 digits; a count with more digits than the
+        # core count is more workers than cores anyway
+        workers = int(digits) if len(digits) <= len(str(cores)) else cores
     return max(1, min(int(workers), cores))
 
 

@@ -653,6 +653,28 @@ class TestThreadsEnvironment:
             if code == 2:
                 assert not out.exists()
 
+    # README: a positive integer in ASCII digits, anything else a configuration error
+    @pytest.mark.parametrize("text, code", [
+        ("0", 2), ("00", 2), ("-5", 2), ("1_0", 2), (" 2 ", 2), ("٣", 2), ("+1", 2),
+        ("1", 0), ("02", 0), ("9" * 5000, 0)],
+        ids=["zero", "zeros", "negative", "underscore", "spaces", "arabic-indic", "plus",
+             "one", "leading-zero", "5000-digits"])
+    def test_each_thread_count_form_exits_as_documented(self, tmp_path, capsys, monkeypatch,
+                                                        text, code):
+        monkeypatch.setenv("KINEX_THREADS", text)
+        config = write_config(tmp_path, {"sweep": {
+            "lambda_values": [0.2, 0.5], "gamma_values": [0.5], "n_agents": 20,
+            "t_max": 200, "replicates": 1}})
+        out = tmp_path / "out"
+        assert run_cli(["sweep", "--config", config, "--out", str(out)]) == code
+        lines = capsys.readouterr().err.splitlines()
+        if code == 2:
+            [line] = lines
+            assert line.startswith("kinex: ") and "KINEX_THREADS" in line
+            assert not out.exists()
+        else:
+            assert lines == [] and (out / "sweep.csv").exists()
+
 
 def _tree_bytes(root: Path) -> dict:
     return {str(p.relative_to(root)): p.read_bytes()

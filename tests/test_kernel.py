@@ -139,35 +139,62 @@ class TestParity:
         assert float.hex(result.cumulative_pool) == pool_hex
 
 
+def assert_runs_agree(c_backend, params: SimulationParams, seed: int, spare: bool) -> None:
+    """The C run and ``exchange._run`` give the same snapshot bytes, pool bits
+    and generator state, from ``default_rng(seed)``, entered with a spare
+    half-word where ``spare``."""
+    want, got = np.random.default_rng(seed), np.random.default_rng(seed)
+    if spare:
+        for rng in (want, got):
+            state = rng.bit_generator.state
+            state["has_uint32"], state["uinteger"] = 1, (2**32 - seed) % 2**32
+            rng.bit_generator.state = state
+    want_snapshots, want_pool = PYTHON.run(want, params)
+    got_snapshots, got_pool = c_backend.run(got, params)
+    assert list(got_snapshots) == list(want_snapshots) == list(params.snapshot_times)
+    for t, assets in got_snapshots.items():
+        assert assets.dtype == np.float64
+        assert assets.tobytes() == want_snapshots[t].tobytes(), (seed, t)
+    assert float.hex(got_pool) == float.hex(want_pool), seed
+    assert got.bit_generator.state == want.bit_generator.state, seed
+
+
 class TestRun:
     """One C call per run against ``exchange._run``, the reference, with
     ``_BLOCK`` shrunk so that a run crosses many odd blocks and carries a
-    spare half-word from one block's draws into the next."""
+    spare half-word from one block's draws into the next. The C run takes
+    two steps at once where their four agents are distinct and one where a
+    step shares an agent with the one before it or ends a segment alone: at
+    n = 3 every step runs alone, and at n = 5 and 8 (where about 70% and 46%
+    of neighbouring steps share an agent) paired and lone steps alternate."""
 
     @pytest.mark.parametrize("block", (1, 2, 3, 7, 64))
-    @pytest.mark.parametrize("n", (2, 3, 40))  # at n = 2, j draws nothing
+    @pytest.mark.parametrize("n", (2, 3, 5, 8, 40))  # at n = 2, j draws nothing
     @pytest.mark.parametrize("t_max", (5, 200))
     def test_run_equals_reference(self, c_backend, monkeypatch, block, n, t_max):
         monkeypatch.setattr(exchange, "_BLOCK", block)
         edges = {0, block - 1, block, block + 1, 2 * block, 3 * block + 1, t_max - 1, t_max}
-        for seed, times in itertools.product(range(4), ((), tuple(sorted(
-                t for t in edges if 0 <= t <= t_max)))):
-            params = SimulationParams(n_agents=n, saving_rate=0.3, surplus_rate=0.6,
-                                      t_max=t_max, seed=seed, snapshot_times=times)
-            want, got = np.random.default_rng(seed), np.random.default_rng(seed)
-            if seed % 2:  # enter the run with a spare half-word
-                for rng in (want, got):
-                    state = rng.bit_generator.state
-                    state["has_uint32"], state["uinteger"] = 1, 2**32 - seed
-                    rng.bit_generator.state = state
-            want_snapshots, want_pool = PYTHON.run(want, params)
-            got_snapshots, got_pool = c_backend.run(got, params)
-            assert list(got_snapshots) == list(want_snapshots) == list(times)
-            for t, assets in got_snapshots.items():
-                assert assets.dtype == np.float64
-                assert assets.tobytes() == want_snapshots[t].tobytes(), (seed, t)
-            assert float.hex(got_pool) == float.hex(want_pool), seed
-            assert got.bit_generator.state == want.bit_generator.state, seed
+        # segments of 1, 2, 3, ... steps from a block's start, so that they
+        # end on a pair and on a lone step, at odd and even offsets
+        offsets = {b * block + o for b in range(3) for o in (1, 3, 6, 10, 15)}
+        for seed, times in itertools.product(range(4), ((), edges, offsets)):
+            params = SimulationParams(
+                n_agents=n, saving_rate=0.3, surplus_rate=0.6, t_max=t_max, seed=seed,
+                snapshot_times=tuple(sorted(t for t in times if 0 <= t <= t_max)))
+            assert_runs_agree(c_backend, params, seed, spare=seed % 2 == 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(min_value=2, max_value=64), t_max=st.integers(min_value=1, max_value=400),
+           block=st.integers(min_value=1, max_value=64), data=st.data())
+    def test_drawn_runs_equal_reference(self, c_backend, n, t_max, block, data):
+        times = data.draw(st.sets(st.integers(min_value=0, max_value=t_max)), label="times")
+        seed = data.draw(st.integers(min_value=0, max_value=2**64 - 1), label="seed")
+        params = SimulationParams(
+            n_agents=n, saving_rate=data.draw(rate_st, label="saving_rate"),
+            surplus_rate=data.draw(rate_st, label="surplus_rate"), t_max=t_max, seed=seed,
+            snapshot_times=tuple(sorted(times)))
+        with mock.patch.object(exchange, "_BLOCK", block):
+            assert_runs_agree(c_backend, params, seed, spare=data.draw(st.booleans(), "spare"))
 
     def test_run_refuses_a_generator_it_cannot_reproduce(self, c_backend):
         params = SimulationParams(n_agents=10, saving_rate=0.5, surplus_rate=0.5, t_max=5)

@@ -89,6 +89,11 @@ class TestResolveWorkers:
         with pytest.raises(ConfigError, match="KINEX_THREADS"):
             _resolve_workers(None)
 
+    @pytest.mark.parametrize("threads, count", [("02", 2), ("0003", 3), ("9" * 5000, 3)])
+    def test_env_with_leading_zeros_or_many_digits(self, monkeypatch, threads, count):
+        monkeypatch.setenv("KINEX_THREADS", threads)
+        assert _resolve_workers(None) == count
+
     def test_unknown_core_count_means_one(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert _resolve_workers(None) == 1
