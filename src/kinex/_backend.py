@@ -18,12 +18,10 @@ if its draws give ``_draw_block``'s values and generator state and its rows
 ``_format_rows``' bytes on fixed probes; ctypes checks the dtype,
 dimension, layout and, for the arrays C writes, writeability of each array
 handed to C.
-A C run draws each block's i and j into 8 bytes a step of one buffer per
-thread (:func:`_draw_buffer`), moves each j past its i as its step reads
-it, and draws its eps as each step needs it; the C
-draws of one block take 24 bytes a step of it. Any thread but the main one
-keeps the buffer for all its runs, the main thread only during a sweep
-(:func:`_keep_draw_buffer`), and otherwise frees it once a run returns.
+A C run draws each block's i and j into a fresh scratch array of 8 bytes a
+step, freed when the run returns, moves each j past its i as its step reads
+it, and draws its eps as each step needs it; the C draws of one block fill a
+fresh array of 24 bytes a step.
 :func:`_python_backend` returns the references. Runs, tau and numeric tables
 take the C backend when it loads, else the Python references with one
 warning; only the runs, the draws, the loop body, the tau pair counts and
@@ -31,15 +29,12 @@ the row formatting differ, and the results are bit-identical. The backend is
 resolved once per process on first use.
 """
 
-import contextlib
 import csv
 import functools
 import io
 import os
 import sys
-import threading
 import warnings
-import weakref
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -50,38 +45,6 @@ from .params import SimulationParams
 # -ffp-contract=off forbids fused multiply-adds. -ffast-math and
 # -march=native must never be added: either one changes result bits.
 _CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
-
-
-# each thread's draw buffer; the main thread holds only a weak reference, which
-# dies with the last block arrays or run that uses it, unless a sweep keeps it
-_draws = threading.local()
-
-
-def _draw_buffer(size: int) -> np.ndarray:
-    """At least ``size`` bytes of this thread's draw buffer, reallocated only
-    when a larger one is asked for."""
-    buffer = getattr(_draws, "buffer", None)
-    if isinstance(buffer, weakref.ref):
-        buffer = buffer()
-    if buffer is None or len(buffer) < size:
-        buffer = np.empty(size, np.uint8)
-        weak = (threading.current_thread() is threading.main_thread()
-                and not getattr(_draws, "keep", False))
-        _draws.buffer = weakref.ref(buffer) if weak else buffer
-    return buffer[:size]
-
-
-@contextlib.contextmanager
-def _keep_draw_buffer():
-    """Let the main thread keep its draw buffer, as every other thread does,
-    until the block exits; then drop it."""
-    _draws.keep = True
-    try:
-        yield
-    finally:
-        _draws.keep = False
-        if threading.current_thread() is threading.main_thread():
-            _draws.buffer = None
 
 
 class _Backend(NamedTuple):
@@ -213,11 +176,10 @@ def _c_backend() -> _Backend:
 
     def draw(rng: np.random.Generator, n: int,
              size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # _draw_block(rng, n, size) into thirds of 24 bytes a step of this
-        # thread's draw buffer
+        # _draw_block(rng, n, size) into the rows of one fresh array
         if n < 2:  # the kernel would divide by zero
             raise ValueError(f"need n >= 2 agents to draw pairs, got {n}")
-        ii, jj, ee = _draw_buffer(24 * size).view(np.int64).reshape(3, size)
+        ii, jj, ee = np.empty((3, size), np.int64)
         ee = ee.view(np.float64)
         on_pcg64(rng, draw_kernel, n, size, ii, jj, ee)
         return ii, jj, ee
@@ -225,12 +187,12 @@ def _c_backend() -> _Backend:
     def run(rng: np.random.Generator,
             params: SimulationParams) -> tuple[dict[int, np.ndarray], float]:
         # exchange._run(rng, params) in one call; its i and j take 8 bytes a step
-        # of this thread's draw buffer (16 where n > 2**32), its eps none
+        # of fresh scratch (16 where n > 2**32), its eps none
         n, t_max, times = params.n_agents, params.t_max, params.snapshot_times
         block = exchange._BLOCK
         assets = np.full(n, params.initial_asset)
         rows = np.empty((len(times), n))
-        scratch = _draw_buffer((16 if n > 2**32 else 8) * min(block, t_max))
+        scratch = np.empty((16 if n > 2**32 else 8) * min(block, t_max), np.uint8)
         cumulative = on_pcg64(rng, run_kernel, assets, n, t_max, block,
                               np.array(times, np.int64), len(times), rows, scratch,
                               params.saving_rate, params.surplus_rate)

@@ -87,7 +87,7 @@ def load_config(path: str | None) -> dict:
         raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long for int()
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     except RecursionError:
         raise ConfigError(f"config file {path} is nested too deeply to read") from None
@@ -166,7 +166,8 @@ def read_sweep_table(path: str | Path) -> list[SweepCell]:
         try:
             doc = json.loads(path.read_text(encoding="utf-8-sig"))
             lines = list(enumerate([list(doc["columns"]), *doc["rows"]], start=1))
-        except (json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and an integer too long for int()
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise ParseError(f"not a JSON sweep table: {exc!r}", 1) from None
     else:
         with open(path, newline="", encoding="utf-8-sig") as fh:

@@ -83,12 +83,18 @@ def resolve_times(t_max: int, t1: int | None, t2: int | None) -> tuple[int, int]
     return int(t1), int(t2)
 
 
+# run_sweep lists every job and its seed before the first one runs: ~320 bytes a
+# job with its result, so 2**20 jobs take ~340 MB
+MAX_SWEEP_JOBS = 2**20
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Grid definition; the defaults are those of ``kinex sweep``.
 
     t1/t2 default as in :func:`resolve_times`. Each (lambda, gamma) must
-    make a valid :class:`SimulationParams` with the shared fields.
+    make a valid :class:`SimulationParams` with the shared fields, and the
+    cells times ``replicates`` may not exceed :data:`MAX_SWEEP_JOBS`.
     """
 
     lambda_values: tuple[float, ...] = tuple(round(0.05 * k, 2) for k in range(1, 20))
@@ -108,12 +114,15 @@ class SweepSpec:
         t1, t2 = resolve_times(self.t_max, self.t1, self.t2)
         object.__setattr__(self, "t1", t1)
         object.__setattr__(self, "t2", t2)
-        # replicate_seed packs the replicate index as a uint64
-        if not _is_integer(self.replicates) or not 1 <= self.replicates <= 2**64:
-            raise ValueError(f"replicates must be an integer in [1, 2**64], "
-                             f"got {self.replicates!r}")
+        if not _is_integer(self.replicates) or self.replicates < 1:
+            raise ValueError(f"replicates must be an integer >= 1, got {self.replicates!r}")
         if not _is_integer(self.base_seed) or not 0 <= self.base_seed < 2**64:
             raise ValueError(f"base_seed must be a 64-bit unsigned integer, got {self.base_seed!r}")
+        jobs = len(self.lambda_values) * len(self.gamma_values) * self.replicates
+        if jobs > MAX_SWEEP_JOBS:
+            raise ValueError(f"a sweep runs at most {MAX_SWEEP_JOBS:,} jobs (cells times "
+                             f"replicates), got {len(self.lambda_values)} x "
+                             f"{len(self.gamma_values)} x {self.replicates} = {jobs:,}")
         for lam in self.lambda_values:
             for gam in self.gamma_values:
                 SimulationParams(n_agents=self.n_agents, saving_rate=lam, surplus_rate=gam,

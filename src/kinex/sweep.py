@@ -13,11 +13,9 @@ from one counter, and each outcome is stored by index; the aggregation
 reduces them in (lambda-index, gamma-index, replicate-index) order with
 numpy's mean and std bits, so the cells are bit-identical regardless of
 scheduling. A run is one C call without the GIL, so threads run in
-parallel; the Python fallback gets no speed-up from them. Each worker, the
-calling thread included, keeps one draw buffer (8 bytes a step of a block)
-for all its runs. KINEX_THREADS, a positive integer in ASCII digits, sets the
-worker count when the caller passes none; the count never exceeds
-``os.cpu_count()``.
+parallel; the Python fallback gets no speed-up from them. KINEX_THREADS, a
+positive integer in ASCII digits, sets the worker count when the caller
+passes none; the count never exceeds ``os.cpu_count()``.
 """
 
 from __future__ import annotations
@@ -124,8 +122,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SweepCell]:
     for thread in threads:
         thread.start()
     try:
-        with _backend._keep_draw_buffer():
-            work()
+        work()
     finally:
         with lock:
             taken = len(jobs)  # however the main thread left, start no new job

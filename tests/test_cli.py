@@ -506,8 +506,11 @@ class TestConfigHandling:
         assert not (tmp_path / "out").exists()
 
     # inputs past a reader's limits: a CSV field longer than csv.field_size_limit()
-    # (131,072 characters), and JSON nested deeper than the recursion limit
+    # (131,072 characters), JSON nested deeper than the recursion limit, a JSON
+    # integer of more digits than int() reads (4,300), and a sweep of more jobs
+    # than it lists
     DEEP_JSON = "[" * 100_000 + "]" * 100_000
+    LONG_INTEGER = "9" * 5000
     OVERSIZED_INPUTS = [
         (["empirical", "--data"], "long_name.csv",
          "country,f,g,lambda,gamma\n" + "A" * 200_000 + ",1,0.3,0.2,0.2\n",
@@ -518,6 +521,16 @@ class TestConfigHandling:
         (["simulate", "--config"], "deep.json", DEEP_JSON, "kinex: config file "),
         (["fit", "--table"], "deep.json", DEEP_JSON,
          "kinex: line 1: not a JSON sweep table: RecursionError"),
+        (["simulate", "--config"], "long_integer.json",
+         '{"simulate": {"seed": ' + LONG_INTEGER + "}}", "kinex: config file "),
+        (["fit", "--table"], "long_integer.json",
+         '{"columns": ["lambda", "gamma", "mean_g", "mean_f", "mean_tau"], '
+         '"rows": [[0.2, 0.5, 0.5, 0.4, ' + LONG_INTEGER + "]]}",
+         "kinex: line 1: not a JSON sweep table: ValueError"),
+        (["sweep", "--replicates", str(2**40), "--config"], "sweep.json",
+         json.dumps({"sweep": SMALL_SWEEP["sweep"]}),
+         "kinex: a sweep runs at most 1,048,576 jobs (cells times replicates), "
+         "got 2 x 2 x 1099511627776 = 4,398,046,511,104"),
     ]
 
     @pytest.mark.parametrize("argv, name, content, message", OVERSIZED_INPUTS,
@@ -586,27 +599,78 @@ def csv_documents(draw, columns):
     return data
 
 
-class TestCsvText:
-    """Any CSV text given to ``kinex empirical --data`` or ``kinex fit --table``
-    ends in exit 0, 1 or 2, never in an exception; an exit 2 prints one
-    ``kinex:`` line and writes no output directory."""
+# an integer cell of more digits than int() reads, put into JSON text in place
+# of this string
+BIG_INTEGER = "<5000 digits>"
 
-    @pytest.mark.parametrize("command, flag", [("empirical", "--data"), ("fit", "--table")])
+
+@st.composite
+def json_tables(draw):
+    """The bytes of a JSON sweep table, or of something near one: the header
+    varied as in csv_documents; valid rows among rows of any JSON values and
+    rows that are no list; the column list or the row list left out or of
+    another type, or a root that is no object; ``NaN``, ``Infinity`` and an
+    integer too long to read; text cut short, a byte-order mark and bytes that
+    are not UTF-8."""
+    columns = CSV_COLUMNS["fit"]
+    header = draw(st.sampled_from([columns, columns[::-1], columns[:-1], columns + columns[:1],
+                                   [c.upper() for c in columns], columns + ["notes"]]))
+    number = st.floats(min_value=0.01, max_value=0.99)
+    scalar = st.one_of(number, st.none(), st.booleans(), st.integers(), st.text(max_size=6),
+                       st.sampled_from([math.nan, math.inf, -0.0, BIG_INTEGER]))
+    value = st.one_of(scalar, st.lists(scalar, max_size=2),
+                      st.dictionaries(st.text(max_size=3), scalar, max_size=2))
+    valid_row = st.lists(number, min_size=len(columns), max_size=len(columns))
+    rows = draw(st.lists(st.one_of(valid_row, st.lists(value, max_size=len(columns) + 1),
+                                   value), max_size=6))
+    doc = {"schema": "kinex-schema v1", "columns": header, "rows": rows}
+    key = draw(st.sampled_from([None, "columns", "rows"]))
+    if key and draw(st.booleans()):
+        del doc[key]
+    elif key:
+        doc[key] = draw(value)
+    if draw(st.integers(0, 9)) == 0:
+        doc = draw(value)
+    text = json.dumps(doc).replace(json.dumps(BIG_INTEGER), "9" * 5000)
+    if draw(st.integers(0, 3)) == 0:
+        text = text[:draw(st.integers(0, len(text)))]
+    data = text.encode()
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xe9", b"\xff", b"\x00"])) + data[at:]
+    return data
+
+
+class TestCsvText:
+    """Any CSV text given to ``kinex empirical --data`` or ``kinex fit --table``,
+    and any JSON text given to ``kinex fit --table``, ends in exit 0, 1 or 2,
+    never in an exception; an exit 2 prints one ``kinex:`` line and writes no
+    output directory."""
+
+    @pytest.mark.parametrize("command, flag, suffix", [
+        ("empirical", "--data", ".csv"), ("fit", "--table", ".csv"),
+        ("fit", "--table", ".json")], ids=["empirical---data", "fit---table", "fit---table-json"])
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     @example(data=None)
-    def test_any_csv_text_exits_cleanly(self, command, flag, data):
+    def test_any_csv_text_exits_cleanly(self, command, flag, suffix, data):
         if data is None:  # a table that fits, so exit 0 is reached
             rows = [["A", "400", "0.3", "0.2", "0.2"], ["B", "500", "0.4", "0.3", "0.3"],
                     ["C", "600", "0.35", "0.25", "0.4"]] if command == "empirical" else \
                 [["0.2", "0.5", "0.5", "0.4", "0.1"], ["0.4", "0.5", "0.4", "0.3", "0.2"]]
-            document = "\n".join(",".join(row) for row in [CSV_COLUMNS[command], *rows])
+            document = (json.dumps({"columns": CSV_COLUMNS[command], "rows": rows})
+                        if suffix == ".json" else
+                        "\n".join(",".join(row) for row in [CSV_COLUMNS[command], *rows]))
             document = document.encode()
+        elif suffix == ".json":
+            document = data.draw(json_tables())
         else:
             document = data.draw(csv_documents(CSV_COLUMNS[command]))
         # a fresh directory per example: function-scoped fixtures persist across them
         with tempfile.TemporaryDirectory() as tmp:
-            table, out = Path(tmp) / "table.csv", Path(tmp) / "out"
+            table, out = Path(tmp) / f"table{suffix}", Path(tmp) / "out"
             table.write_bytes(document)
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):

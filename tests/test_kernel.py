@@ -25,8 +25,8 @@ import shutil
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
-import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -473,27 +473,6 @@ class TestDraws:
         with pytest.raises(TypeError, match="PCG64"):
             c_backend.draw(np.random.Generator(np.random.PCG64DXSM(0)), 10, 5)
 
-    def test_sweep_workers_reuse_one_set_of_draw_buffers(self, c_backend, monkeypatch):
-        seen = []  # the thread's draw buffer after each run
-
-        def run_and_peek(params):
-            result = run_simulation(params)
-            seen.append(live_draw_buffer())
-            return result
-
-        monkeypatch.setattr("kinex.sweep.run_simulation", run_and_peek)
-        with on(c_backend):
-            # one worker: the main thread runs every job, keeping its buffer meanwhile
-            run_sweep(SweepSpec(lambda_values=(0.2, 0.5), gamma_values=(0.5,), n_agents=20,
-                                t_max=200, replicates=2), workers=1)
-            assert len(seen) == 4 and isinstance(seen[0], np.ndarray)
-            assert len(seen[0]) == 8 * 200  # a 32-bit i and j per step
-            assert all(buffers is seen[0] for buffers in seen)
-            assert live_draw_buffer() is None  # dropped when the sweep returned
-            run_and_peek(SimulationParams(n_agents=20, saving_rate=0.5, surplus_rate=0.5,
-                                          t_max=200))
-        assert seen[-1] is None  # a run on the main thread frees its own
-
     def test_draw_probe_mismatch_falls_back_once(self, c_backend, fresh_resolution,
                                                  monkeypatch):
         def shifted(rng, n, size):  # the reference, one eps off by one ulp
@@ -508,66 +487,44 @@ class TestDraws:
         assert len(caught) == 1
 
 
-def live_draw_buffer():
-    """This thread's C draw buffer, or None where none is alive."""
-    buffer = getattr(_backend._draws, "buffer", None)
-    return buffer() if isinstance(buffer, weakref.ref) else buffer
+class TestScratch:
+    """A C run's scratch lives only as long as the run, on every thread."""
 
+    def test_a_run_frees_its_scratch_on_every_thread(self, c_backend, monkeypatch):
+        # numpy reports its array data to tracemalloc; the lock keeps the sweep's
+        # two workers from running, and so from allocating scratch, at once
+        lock = threading.Lock()
+        readings = []  # (peak over the baseline, bytes left once the run returned)
 
-class TestDrawBuffer:
-    """Who keeps the C draws' buffer: every thread but the main one for all its
-    runs, the main thread for a sweep's runs, else only while a run or a
-    block's arrays hold it."""
-
-    def test_sweep_workers_and_plain_threads_keep_one_buffer(self, c_backend, monkeypatch):
-        seen = {}  # thread -> its draw buffer after each of its runs
-
-        def run_and_peek(params):
-            result = run_simulation(params)
-            seen.setdefault(threading.current_thread(), []).append(live_draw_buffer())
+        def traced_run(params):
+            with lock:
+                baseline = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                result = run_simulation(params)
+                current, peak = tracemalloc.get_traced_memory()
+                readings.append((peak - baseline, current - baseline))
             return result
 
-        def plain_runs():
-            for seed in range(3):
-                run_and_peek(SimulationParams(n_agents=20, saving_rate=0.5, surplus_rate=0.5,
-                                              t_max=200, seed=seed))
-
-        monkeypatch.setattr("kinex.sweep.run_simulation", run_and_peek)
+        params = SimulationParams(n_agents=20, saving_rate=0.5, surplus_rate=0.5,
+                                  t_max=3 * _BLOCK + 5)
+        monkeypatch.setattr("kinex.sweep.run_simulation", traced_run)
         with on(c_backend):
-            run_sweep(SweepSpec(lambda_values=(0.2, 0.5), gamma_values=(0.5,), n_agents=20,
-                                t_max=200, replicates=3), workers=2)
-            thread = threading.Thread(target=plain_runs)
-            thread.start()
-            thread.join(timeout=60)
-        assert not thread.is_alive() and thread in seen
-        assert sum(map(len, seen.values())) == 6 + 3  # the sweep's runs, then the thread's
-        for buffers in seen.values():
-            assert isinstance(buffers[0], np.ndarray) and len(buffers[0]) == 8 * 200
-            assert all(buffer is buffers[0] for buffer in buffers)
-
-    def test_every_block_of_a_main_thread_run_draws_into_one_buffer(self, c_backend,
-                                                                    monkeypatch):
-        buffers = []  # the size of and a weak reference to each buffer a run draws into
-        draw_buffer_of_thread = _backend._draw_buffer
-
-        def draw_buffer(size):
-            scratch = draw_buffer_of_thread(size)
-            buffers.append((size, weakref.ref(scratch.base)))
-            return scratch
-
-        monkeypatch.setattr(_backend, "_draw_buffer", draw_buffer)
-        run_with(c_backend, SimulationParams(n_agents=20, saving_rate=0.5, surplus_rate=0.5,
-                                             t_max=3 * _BLOCK + 5))
-        # four blocks, one call: a 32-bit i and j per step of the largest block
-        assert [size for size, _ in buffers] == [8 * _BLOCK]
-        assert buffers[0][1]() is None  # freed when the run returned
-
-    def test_no_draw_buffer_outlives_a_main_thread_run(self, c_backend):
-        assert threading.current_thread() is threading.main_thread()
-        run_with(c_backend, SimulationParams(n_agents=20, saving_rate=0.5, surplus_rate=0.5,
-                                             t_max=2 * _BLOCK))
-        assert isinstance(_backend._draws.buffer, weakref.ref)
-        assert live_draw_buffer() is None
+            run_simulation(params)  # once untraced, so no first-call cache is counted
+            tracemalloc.start()
+            try:
+                traced_run(params)  # on the main thread
+                thread = threading.Thread(target=traced_run, args=(params,))
+                thread.start()
+                thread.join(timeout=60)
+                run_sweep(SweepSpec(lambda_values=(0.2, 0.5), gamma_values=(0.5,),
+                                    n_agents=20, t_max=params.t_max, replicates=2), workers=2)
+            finally:
+                tracemalloc.stop()
+        assert not thread.is_alive() and len(readings) == 1 + 1 + 4
+        for peak, left in readings:
+            # one scratch of a 32-bit i and j per step of a block, not 24 bytes a step
+            assert 8 * _BLOCK <= peak < 9 * _BLOCK, readings
+            assert left < 8 * 1024, readings  # the two snapshots of 20 agents and so on
 
 
 # n = 3 * 2**30: Lemire's excl is 3 * 2**30 and its threshold 2**30, so a 32-bit

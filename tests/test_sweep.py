@@ -9,6 +9,7 @@ import pytest
 import kinex.sweep
 from kinex import (ConfigError, SimulationParams, SweepSpec, gini, replicate_seed,
                    run_simulation, run_sweep)
+from kinex.params import MAX_SWEEP_JOBS
 from kinex.sweep import _resolve_workers
 
 
@@ -52,10 +53,14 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             small_spec(**kwargs)
 
-    def test_accepts_every_64_bit_replicate_index(self):
-        # constructed only: running it would list 2**64 jobs per cell
-        assert small_spec(replicates=2**64).replicates == 2**64
-        assert 0 <= replicate_seed(7, 1, 1, 2**64 - 1) < 2**64  # its last replicate
+    def test_refuses_more_jobs_than_it_can_list(self):
+        # constructed only: running the largest would list 2**20 jobs
+        most = MAX_SWEEP_JOBS // 4  # small_spec has 2 x 2 cells
+        assert small_spec(replicates=most).replicates == most
+        for replicates in (most + 1, 2**40, 2**64):
+            with pytest.raises(ValueError, match=f"at most {MAX_SWEEP_JOBS:,} jobs .* "
+                                                 f"= {4 * replicates:,}$"):
+                small_spec(replicates=replicates)
 
 
 class TestResolveWorkers:
