@@ -1,13 +1,13 @@
 """The C unit: how ``_kernel.c`` is built, called and chosen over the Python references.
 
-``_kernel.c`` holds a C loop that does ``exchange._exchange``'s float
-operations in the same order (choosing the poorer side with masks instead of
-a branch, on two steps at once in the lanes of a 16-byte vector where their
-four agents are distinct, and on one lane where a step shares an agent with
-the one before it), a C reproduction of ``exchange._draw_block``'s numpy algorithms
-(which draws a 32-bit bound two values per 64-bit word, and one at a time
-where numpy's rejection test may apply), both joined in one C call per run
-that gives ``exchange._run``'s snapshots, pool and generator state, a C count of
+``_kernel.c`` holds a C reproduction of ``exchange._draw_block``'s numpy
+algorithms (which draws a 32-bit bound two values per 64-bit word, and one at
+a time where numpy's rejection test may apply), one C call per run that gives
+``exchange._run``'s snapshots, pool and generator state by doing
+``exchange._exchange``'s float operations in the same order (choosing the
+poorer side with masks instead of a branch, on two steps at once in the lanes
+of a 16-byte vector where their four agents are distinct, and on one lane
+where a step shares an agent with the one before it), a C count of
 ``metrics._tau_counts``' pairs (by radix sorts and a Fenwick tree) and a C
 writer of :func:`_format_rows`' CSV rows. Its doubles take Schubfach's
 shortest digits (Giulietti 2020) in ``repr``'s layout, without the paper's
@@ -24,8 +24,8 @@ it, and draws its eps as each step needs it; the C draws of one block fill a
 fresh array of 24 bytes a step.
 :func:`_python_backend` returns the references. Runs, tau and numeric tables
 take the C backend when it loads, else the Python references with one
-warning; only the runs, the draws, the loop body, the tau pair counts and
-the row formatting differ, and the results are bit-identical. The backend is
+warning; only the runs, the draws, the tau pair counts and the row
+formatting differ, and the results are bit-identical. The backend is
 resolved once per process on first use.
 """
 
@@ -49,7 +49,6 @@ _CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 class _Backend(NamedTuple):
     name: str              # "c" or "python"
-    exchange: Callable     # the loop body, with the signature of exchange._exchange
     draw: Callable         # (rng, n, size) -> the arrays of exchange._draw_block
     run: Callable          # (rng, params) -> the snapshots and pool of exchange._run
     tau_counts: Callable   # (x, y) float64 vectors -> the pair counts of metrics._tau_counts
@@ -129,9 +128,6 @@ def _c_backend() -> _Backend:
                        for t in (np.int64, np.float64, np.uint8))
     from . import exchange  # here: exchange imports this module
     library = ctypes.CDLL(str(path))
-    kernel = library.kinex_exchange
-    kernel.restype = ctypes.c_double
-    kernel.argtypes = (f64w, i64, i64, f64, ctypes.c_int64) + (ctypes.c_double,) * 3
     words = ctypes.POINTER(ctypes.c_uint64)  # the generator state, in and out
     draw_kernel = library.kinex_draw
     draw_kernel.restype = None
@@ -149,12 +145,6 @@ def _c_backend() -> _Backend:
     format_kernel.restype = ctypes.c_int64
     format_kernel.argtypes = (u64,) + (ctypes.c_int64,) * 3 + (u64, u8w)
     pow10 = _pow10_table()
-
-    def exchange_step(assets: np.ndarray, ii: np.ndarray, jj: np.ndarray, ee: np.ndarray,
-                      saving_rate: float, surplus_rate: float, cumulative: float) -> float:
-        if not len(ii) == len(jj) == len(ee):  # the kernel reads all three as far as ii
-            raise ValueError("the C exchange needs i, j and eps blocks of one length")
-        return kernel(assets, ii, jj, ee, len(ii), saving_rate, surplus_rate, cumulative)
 
     def on_pcg64(rng: np.random.Generator, kernel: Callable, *args):
         # kernel(state words, *args), with the generator's state going to C and
@@ -220,7 +210,7 @@ def _c_backend() -> _Backend:
 
     _check_draws(draw, exchange._draw_block)
     _check_format(format_rows, _format_rows)
-    return _Backend("c", exchange_step, draw, run, tau_counts, format_rows)
+    return _Backend("c", draw, run, tau_counts, format_rows)
 
 
 def _check_draws(draw: Callable, draw_block: Callable) -> None:
@@ -256,8 +246,8 @@ def _check_format(format_rows: Callable, reference: Callable) -> None:
 def _python_backend() -> _Backend:
     """The ``"python"`` backend: the references in ``exchange``, ``metrics`` and here."""
     from . import exchange, metrics  # here: both import this module
-    return _Backend("python", exchange._exchange, exchange._draw_block, exchange._run,
-                    metrics._tau_counts, _format_rows)
+    return _Backend("python", exchange._draw_block, exchange._run, metrics._tau_counts,
+                    _format_rows)
 
 
 @functools.cache

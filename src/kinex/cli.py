@@ -79,12 +79,18 @@ DEFAULT_CONFIG = {
 # configuration handling
 
 
+def _refuse_constant(name: str):
+    # NaN and Infinity are not RFC 8259 JSON, and resolved_config.json could not hold them
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def load_config(path: str | None) -> dict:
     config = {section: dict(values) for section, values in DEFAULT_CONFIG.items()}
     if path is None:
         return config
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+        raw = json.loads(Path(path).read_text(encoding="utf-8-sig"),
+                         parse_constant=_refuse_constant)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, or an integer too long for int()
@@ -228,8 +234,8 @@ def cmd_simulate(args, config: dict, out_dir: Path, fmt: str) -> int:
             t_max=t_max, seed=sim_cfg["seed"], snapshot_times=tuple(snapshot_times),
         )
         bins = sim_cfg["bins"]
-        if not _is_integer(bins) or bins < 1:
-            raise ValueError(f"bins must be an integer >= 1, got {bins!r}")
+        if not _is_integer(bins) or not 1 <= bins < 2**63:  # numpy takes it as int64
+            raise ValueError(f"bins must be an integer in [1, 2**63), got {bins!r}")
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     _write_json(out_dir, "resolved_config.json", config)
@@ -345,9 +351,9 @@ def cmd_empirical(args, config: dict, out_dir: Path, fmt: str) -> int:
         # from the config file, or the --thresholds flag split at its comma
         if not isinstance(thresholds, (list, tuple)) or len(thresholds) != 2:
             raise ConfigError(f"thresholds must be a [low, high] pair, got {thresholds!r}")
-        try:
+        try:  # float() of an int past the largest double raises OverflowError
             thresholds = (float(thresholds[0]), float(thresholds[1]))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"thresholds must be numbers, got {thresholds!r}") from exc
         if not all(map(math.isfinite, thresholds)):
             raise ConfigError(f"thresholds must be finite, got {list(thresholds)}")

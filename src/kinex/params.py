@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 
@@ -31,6 +32,7 @@ class SimulationParams:
     ``t_max`` counts pairwise exchanges (one exchange per tick, not one
     sweep of N exchanges). ``snapshot_times`` must be strictly ascending
     integers in [0, t_max]; time 0 denotes the pre-exchange state.
+    ``n_agents`` and ``t_max`` stay below 2**63: the C unit takes both as int64.
     """
 
     n_agents: int
@@ -42,17 +44,20 @@ class SimulationParams:
     snapshot_times: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not _is_integer(self.n_agents) or self.n_agents < 2:
-            raise ValueError(f"n_agents must be an integer >= 2, got {self.n_agents!r}")
+        if not _is_integer(self.n_agents) or not 2 <= self.n_agents < 2**63:
+            raise ValueError(f"n_agents must be an integer in [2, 2**63), got {self.n_agents!r}")
         for name in ("saving_rate", "surplus_rate"):
             value = getattr(self, name)
             if not (_is_real(value) and 0.0 <= value <= 1.0):
                 raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
-        if not (_is_real(self.initial_asset) and math.isfinite(self.initial_asset)
-                and self.initial_asset > 0):
-            raise ValueError(f"initial_asset must be positive, got {self.initial_asset!r}")
-        if not _is_integer(self.t_max) or self.t_max < 1:
-            raise ValueError(f"t_max must be a positive integer, got {self.t_max!r}")
+        asset = self.initial_asset
+        # no double holds an int past the largest one, and math.isfinite raises on it
+        finite = _is_real(asset) and (asset <= sys.float_info.max if _is_integer(asset)
+                                      else math.isfinite(asset))
+        if not (finite and asset > 0):
+            raise ValueError(f"initial_asset must be positive, got {asset!r}")
+        if not _is_integer(self.t_max) or not 1 <= self.t_max < 2**63:
+            raise ValueError(f"t_max must be an integer in [1, 2**63), got {self.t_max!r}")
         if not _is_integer(self.seed) or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         snaps = tuple(self.snapshot_times)
@@ -71,14 +76,16 @@ class SimulationParams:
 def resolve_times(t_max: int, t1: int | None, t2: int | None) -> tuple[int, int]:
     """Return (t1, t2); t2 defaults to t_max, t1 to round(0.99 * t_max) below t2.
 
-    Raises ValueError unless all three are integers with 0 <= t1 < t2 <= t_max.
+    Raises ValueError unless all three are integers with
+    0 <= t1 < t2 <= t_max < 2**63.
     """
     if t2 is None:
         t2 = t_max
-    if t1 is None and _is_integer(t_max) and _is_integer(t2):
+    # 0.99 * t_max overflows a double for a t_max above ~1.8e308
+    if t1 is None and _is_integer(t_max) and _is_integer(t2) and t_max < 2**63:
         t1 = min(round(0.99 * t_max), t2 - 1)
-    if not all(_is_integer(t) for t in (t_max, t1, t2)) or not 0 <= t1 < t2 <= t_max:
-        raise ValueError(f"need integers 0 <= t1 < t2 <= t_max, got t1={t1!r}, "
+    if not all(_is_integer(t) for t in (t_max, t1, t2)) or not 0 <= t1 < t2 <= t_max < 2**63:
+        raise ValueError(f"need integers 0 <= t1 < t2 <= t_max < 2**63, got t1={t1!r}, "
                          f"t2={t2!r}, t_max={t_max!r}")
     return int(t1), int(t2)
 

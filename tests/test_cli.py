@@ -507,8 +507,8 @@ class TestConfigHandling:
 
     # inputs past a reader's limits: a CSV field longer than csv.field_size_limit()
     # (131,072 characters), JSON nested deeper than the recursion limit, a JSON
-    # integer of more digits than int() reads (4,300), and a sweep of more jobs
-    # than it lists
+    # integer of more digits than int() reads (4,300), a sweep of more jobs than
+    # it lists, and runs of more steps than the C unit's int64 holds
     DEEP_JSON = "[" * 100_000 + "]" * 100_000
     LONG_INTEGER = "9" * 5000
     OVERSIZED_INPUTS = [
@@ -531,6 +531,13 @@ class TestConfigHandling:
          json.dumps({"sweep": SMALL_SWEEP["sweep"]}),
          "kinex: a sweep runs at most 1,048,576 jobs (cells times replicates), "
          "got 2 x 2 x 1099511627776 = 4,398,046,511,104"),
+        (["simulate", "--config"], "t_max.json",
+         json.dumps({"simulate": {"n_agents": 10, "saving_rate": 0.5, "surplus_rate": 0.5,
+                                  "t_max": 2**64 + 5}}),
+         "kinex: need integers 0 <= t1 < t2 <= t_max < 2**63, got t1=None"),
+        (["sweep", "--config"], "t_max.json",
+         json.dumps({"sweep": {**SMALL_SWEEP["sweep"], "t_max": 2**64 + 5}}),
+         "kinex: need integers 0 <= t1 < t2 <= t_max < 2**63, got t1=None"),
     ]
 
     @pytest.mark.parametrize("argv, name, content, message", OVERSIZED_INPUTS,
@@ -738,6 +745,148 @@ class TestThreadsEnvironment:
             assert not out.exists()
         else:
             assert lines == [] and (out / "sweep.csv").exists()
+
+
+
+# a value no config key takes as a small valid setting: a wrong type, a bool,
+# nan or inf, a negative number, counts at and past int64, the C unit's limit,
+# an integer no double holds, a string, a list, null or a nested object.
+# Some of them are still valid for some keys (null for t1, 10**30 for
+# initial_asset), which runs small
+ODD_VALUES = [True, False, math.nan, math.inf, -math.inf, -1, -0.5, 2**63, 2**64 + 5, 10**30,
+              10**400, "1", "abc", [1], [], None, {"a": 1}]
+odd_values = st.sampled_from(ODD_VALUES)
+unit_st = st.floats(min_value=0.0, max_value=1.0)
+time_st = st.none() | st.integers(min_value=0, max_value=2000)
+# each key's small valid values: no run longer than 2,000 steps, of more than 50
+# agents or 100 bins, and no sweep of more than 8 jobs
+SMALL_VALUES = {
+    "simulate": {
+        "n_agents": st.integers(min_value=2, max_value=50),
+        "saving_rate": unit_st, "surplus_rate": unit_st,
+        "initial_asset": st.floats(min_value=0.1, max_value=100.0),
+        "t_max": st.integers(min_value=1, max_value=2000),
+        "seed": st.integers(min_value=0, max_value=2**64 - 1),
+        "snapshot_times": st.none() | st.lists(st.integers(min_value=0, max_value=2000),
+                                               max_size=4),
+        "t1": time_st, "t2": time_st,
+        "bins": st.integers(min_value=1, max_value=100),
+    },
+    "sweep": {
+        "lambda_values": st.lists(unit_st, min_size=1, max_size=2),
+        "gamma_values": st.lists(unit_st, min_size=1, max_size=2),
+        "n_agents": st.integers(min_value=2, max_value=50),
+        "t_max": st.integers(min_value=1, max_value=2000),
+        "t1": time_st, "t2": time_st,
+        "replicates": st.integers(min_value=1, max_value=2),
+        "base_seed": st.integers(min_value=0, max_value=2**64 - 1),
+    },
+    "empirical": {"thresholds": st.none() | st.lists(st.floats(min_value=0.0, max_value=1000.0)
+                                                     | odd_values, min_size=2, max_size=2)},
+    "output": {"dir": st.just("<out>"), "format": st.sampled_from(["csv", "json"])},
+}
+# keys always in the document, so that no run takes a default size
+ALWAYS = {"simulate": {"n_agents", "t_max"}, "output": {"dir"},
+          "sweep": {"lambda_values", "gamma_values", "n_agents", "t_max", "replicates"}}
+
+
+@st.composite
+def config_documents(draw):
+    """A config document over the four sections and their keys: each value
+    small and valid or odd, at a share of odd values drawn per document; now
+    and then an unknown key or section, a section that is no object, or a
+    root that is no object. ``"<out>"`` stands for the output directory."""
+    odd_share = draw(st.sampled_from([0, 1, 3, 10]))  # in tenths
+    doc = {}
+    for section, keys in SMALL_VALUES.items():
+        if section not in ALWAYS and draw(st.booleans()):
+            continue
+        values = {}
+        for key, valid in keys.items():
+            if key in ALWAYS.get(section, ()) or draw(st.booleans()):
+                odd = draw(st.integers(min_value=0, max_value=9)) < odd_share
+                values[key] = draw(odd_values if odd else valid)
+        doc[section] = values
+    extra = draw(st.sampled_from([None] * 7 + ["key", "section", "not an object"]))
+    if extra == "key":
+        doc[draw(st.sampled_from(sorted(doc)))]["agents"] = 5
+    elif extra == "section":
+        doc["simulte"] = {}
+    elif extra == "not an object":
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(odd_values)
+    if draw(st.integers(min_value=0, max_value=19)) == 0:
+        doc = draw(odd_values)
+    return doc
+
+
+SMALL_DOCUMENT = {"simulate": {"n_agents": 20, "t_max": 1500}, "output": {"dir": "<out>"},
+                  "sweep": {"lambda_values": [0.2], "gamma_values": [0.5, 1.0],
+                            "n_agents": 20, "t_max": 300, "replicates": 2}}
+# the command that reads each section's values
+SECTION_COMMAND = {"simulate": "simulate", "sweep": "sweep", "empirical": "empirical",
+                   "output": "fit"}
+
+
+def run_config_document(command: str, doc, data_path: Path) -> int:
+    """Run ``command`` on the config ``doc`` in a fresh working directory with one
+    sweep worker, ``fit`` on a fixed table and ``empirical`` on ``data_path``. Assert
+    that it exits 0 with nothing on stderr, or prints one ``kinex:`` line and
+    no traceback and exits 1 after writing ``resolved_config.json`` or 2 without
+    writing anything. Returns the exit code."""
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(os.environ, {"KINEX_THREADS": "1"}):
+        tmp = Path(tmp)
+        out = tmp / "out"
+        (tmp / "table.csv").write_text("lambda,gamma,mean_g,mean_f,mean_tau\n"
+                                       "0.2,0.5,0.5,0.4,0.1\n0.4,0.5,0.4,0.3,0.2\n")
+        (tmp / "config.json").write_text(
+            json.dumps(doc).replace(json.dumps("<out>"), json.dumps(str(out))))
+        argv = [command, "--config", str(tmp / "config.json")]
+        argv += {"fit": ["--table", str(tmp / "table.csv")],
+                 "empirical": ["--data", str(data_path)]}.get(command, [])
+        stdout, stderr = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(tmp)  # where an output dir drawn as a relative path lands
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = run_cli(argv)
+        finally:
+            os.chdir(cwd)
+        if code == 0:
+            assert stderr.getvalue() == ""
+        else:
+            [line] = stderr.getvalue().splitlines()
+            assert line.startswith("kinex: ")
+            assert (code, (out / "resolved_config.json").exists()) in ((1, True), (2, False))
+            if code == 2:
+                assert sorted(p.name for p in tmp.iterdir()) == ["config.json", "table.csv"]
+        return code
+
+
+class TestConfigDocuments:
+    """Any config document ends each command in exit 0 or 2, or in exit 1 for a
+    runtime failure, after the config was accepted and written; a failure prints
+    one ``kinex:`` line and no traceback, and an exit 2 writes no output."""
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "fit", "empirical"])
+    @settings(max_examples=60, deadline=None)
+    @given(doc=config_documents())
+    @example(doc=SMALL_DOCUMENT)
+    @example(doc={**SMALL_DOCUMENT, "simulate": {"n_agents": 10, "t_max": 2**64 + 5},
+                  "sweep": {**SMALL_DOCUMENT["sweep"], "t_max": 2**64 + 5}})
+    def test_any_config_document_exits_cleanly(self, table1_path, command, doc):
+        code = run_config_document(command, doc, table1_path)
+        if doc == SMALL_DOCUMENT:
+            assert code == 0
+
+    # every odd value in each key of an otherwise small valid document, which
+    # random documents reach too rarely
+    @pytest.mark.parametrize("section, key", [(section, key) for section in SMALL_VALUES
+                                              for key in SMALL_VALUES[section]])
+    def test_each_odd_value_of_each_key_exits_cleanly(self, table1_path, section, key):
+        for value in ODD_VALUES:
+            doc = {**SMALL_DOCUMENT, section: {**SMALL_DOCUMENT.get(section, {}), key: value}}
+            run_config_document(SECTION_COMMAND[section], doc, table1_path)
 
 
 def _tree_bytes(root: Path) -> dict:

@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -8,89 +7,76 @@ from hypothesis import strategies as st
 
 from kinex import RunResult, SimulationParams, gamma_fit, gini, run_simulation, total_exchange
 from kinex.exchange import _BLOCK, _draw_block, _exchange
+from kinex.params import resolve_times
 
 assets_st = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 unit_st = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
-def exchange_once(exchange, mi, mj, lam, gam, eps):
-    """One exchange of agent 0 (i) with agent 1 (j) by the loop body ``exchange``,
-    over a float64 array; returns (new_mi, new_mj, pool)."""
+def step(mi, mj, lam, gam, eps):
+    """One exchange of agent 0 (i) with agent 1 (j) by ``_exchange``, over a
+    float64 array; returns (new_mi, new_mj, pool)."""
     assets = np.array([mi, mj], dtype=np.float64)
-    pool = exchange(assets, np.array([0], np.int64), np.array([1], np.int64),
-                    np.array([eps], np.float64), lam, gam, 0.0)
+    pool = _exchange(assets, np.array([0], np.int64), np.array([1], np.int64),
+                     np.array([eps], np.float64), lam, gam, 0.0)
     return float(assets[0]), float(assets[1]), pool
 
 
-def exchange_step_tests(exchange):
-    """Tests of one step of the loop body ``exchange``, which has the signature
-    of ``_exchange``.
+class TestExchangeStep:
+    def test_equal_assets_no_saving_splits_evenly(self):
+        assert step(1.0, 1.0, 0.0, 0.0, 0.5) == (1.0, 1.0, 2.0)
 
-    Hypothesis holds each ``@given`` test to one test class, so every loop
-    body gets a class of its own.
-    """
-    step = functools.partial(exchange_once, exchange)
+    def test_poorer_loses_whole_stake_when_epsilon_zero(self):
+        # lam=0.25, gamma=0: each side stakes 0.75, all of it goes to j
+        new_mi, new_mj, pool = step(1.0, 3.0, 0.25, 0.0, 0.0)
+        assert pool == pytest.approx(1.5, rel=1e-15)
+        assert new_mi == pytest.approx(0.25, rel=1e-15)
+        assert new_mj == pytest.approx(3.75, rel=1e-15)
 
-    class TestExchangeStep:
-        def test_equal_assets_no_saving_splits_evenly(self):
-            assert step(1.0, 1.0, 0.0, 0.0, 0.5) == (1.0, 1.0, 2.0)
+    def test_richer_stakes_full_surplus_at_gamma_one(self):
+        # richer stakes 0.5*6=3, poorer 1; i takes the whole pool
+        new_mi, new_mj, pool = step(2.0, 6.0, 0.5, 1.0, 1.0)
+        assert pool == pytest.approx(4.0, rel=1e-15)
+        assert new_mi == pytest.approx(5.0, rel=1e-15)
+        assert new_mj == pytest.approx(3.0, rel=1e-15)
 
-        def test_poorer_loses_whole_stake_when_epsilon_zero(self):
-            # lam=0.25, gamma=0: each side stakes 0.75, all of it goes to j
-            new_mi, new_mj, pool = step(1.0, 3.0, 0.25, 0.0, 0.0)
-            assert pool == pytest.approx(1.5, rel=1e-15)
-            assert new_mi == pytest.approx(0.25, rel=1e-15)
-            assert new_mj == pytest.approx(3.75, rel=1e-15)
+    @given(mi=assets_st, mj=assets_st, lam=unit_st, gam=unit_st, eps=unit_st)
+    def test_conserves_and_stays_non_negative(self, mi, mj, lam, gam, eps):
+        new_mi, new_mj, pool = step(mi, mj, lam, gam, eps)
+        assert new_mi >= 0.0
+        assert new_mj >= 0.0
+        assert pool >= 0.0
+        total = mi + mj
+        assert new_mi + new_mj == pytest.approx(total, rel=1e-12, abs=1e-12)
 
-        def test_richer_stakes_full_surplus_at_gamma_one(self):
-            # richer stakes 0.5*6=3, poorer 1; i takes the whole pool
-            new_mi, new_mj, pool = step(2.0, 6.0, 0.5, 1.0, 1.0)
-            assert pool == pytest.approx(4.0, rel=1e-15)
-            assert new_mi == pytest.approx(5.0, rel=1e-15)
-            assert new_mj == pytest.approx(3.0, rel=1e-15)
+    @given(mi=assets_st, mj=assets_st, lam=unit_st, gam=unit_st, eps=unit_st)
+    def test_swapping_positions_swaps_shares(self, mi, mj, lam, gam, eps):
+        # rounding error scales with the pair total, not the (possibly
+        # near-zero) individual shares, so tolerate relative to mi + mj
+        tol = 1e-12 * (mi + mj + 1.0)
+        fwd_i, fwd_j, _ = step(mi, mj, lam, gam, eps)
+        rev_i, rev_j, _ = step(mj, mi, lam, gam, 1.0 - eps)
+        assert rev_i == pytest.approx(fwd_j, abs=tol)
+        assert rev_j == pytest.approx(fwd_i, abs=tol)
 
-        @given(mi=assets_st, mj=assets_st, lam=unit_st, gam=unit_st, eps=unit_st)
-        def test_conserves_and_stays_non_negative(self, mi, mj, lam, gam, eps):
-            new_mi, new_mj, pool = step(mi, mj, lam, gam, eps)
-            assert new_mi >= 0.0
-            assert new_mj >= 0.0
-            assert pool >= 0.0
-            total = mi + mj
-            assert new_mi + new_mj == pytest.approx(total, rel=1e-12, abs=1e-12)
+    @given(mi=assets_st, mj=assets_st, lam=unit_st, eps=unit_st)
+    def test_gamma_zero_matches_poorer_surplus_rule(self, mi, mj, lam, eps):
+        tol = 1e-12 * (mi + mj + 1.0)
+        new_mi, _, out_pool = step(mi, mj, lam, 0.0, eps)
+        m_p = min(mi, mj)
+        pool = 2.0 * (1.0 - lam) * m_p
+        assert out_pool == pytest.approx(pool, abs=tol)
+        expect_i = mi - (1.0 - lam) * m_p + eps * pool
+        assert new_mi == pytest.approx(expect_i, abs=tol)
 
-        @given(mi=assets_st, mj=assets_st, lam=unit_st, gam=unit_st, eps=unit_st)
-        def test_swapping_positions_swaps_shares(self, mi, mj, lam, gam, eps):
-            # rounding error scales with the pair total, not the (possibly
-            # near-zero) individual shares, so tolerate relative to mi + mj
-            tol = 1e-12 * (mi + mj + 1.0)
-            fwd_i, fwd_j, _ = step(mi, mj, lam, gam, eps)
-            rev_i, rev_j, _ = step(mj, mi, lam, gam, 1.0 - eps)
-            assert rev_i == pytest.approx(fwd_j, abs=tol)
-            assert rev_j == pytest.approx(fwd_i, abs=tol)
-
-        @given(mi=assets_st, mj=assets_st, lam=unit_st, eps=unit_st)
-        def test_gamma_zero_matches_poorer_surplus_rule(self, mi, mj, lam, eps):
-            tol = 1e-12 * (mi + mj + 1.0)
-            new_mi, _, out_pool = step(mi, mj, lam, 0.0, eps)
-            m_p = min(mi, mj)
-            pool = 2.0 * (1.0 - lam) * m_p
-            assert out_pool == pytest.approx(pool, abs=tol)
-            expect_i = mi - (1.0 - lam) * m_p + eps * pool
-            assert new_mi == pytest.approx(expect_i, abs=tol)
-
-        @given(mi=assets_st, mj=assets_st, lam=unit_st, eps=unit_st)
-        def test_gamma_one_matches_full_surplus_rule(self, mi, mj, lam, eps):
-            tol = 1e-12 * (mi + mj + 1.0)
-            new_mi, _, out_pool = step(mi, mj, lam, 1.0, eps)
-            pool = (1.0 - lam) * (mi + mj)
-            assert out_pool == pytest.approx(pool, abs=tol)
-            expect_i = lam * mi + eps * pool
-            assert new_mi == pytest.approx(expect_i, abs=tol)
-
-    return TestExchangeStep
-
-
-TestExchangeStep = exchange_step_tests(_exchange)
+    @given(mi=assets_st, mj=assets_st, lam=unit_st, eps=unit_st)
+    def test_gamma_one_matches_full_surplus_rule(self, mi, mj, lam, eps):
+        tol = 1e-12 * (mi + mj + 1.0)
+        new_mi, _, out_pool = step(mi, mj, lam, 1.0, eps)
+        pool = (1.0 - lam) * (mi + mj)
+        assert out_pool == pytest.approx(pool, abs=tol)
+        expect_i = lam * mi + eps * pool
+        assert new_mi == pytest.approx(expect_i, abs=tol)
 
 
 class TestSamplePair:
@@ -156,6 +142,11 @@ class TestSimulationParams:
         dict(surplus_rate=None),
         dict(initial_asset="1.0"),
         dict(saving_rate=np.True_),
+        dict(n_agents=2**63),  # the C unit takes n_agents and t_max as int64
+        dict(n_agents=2**64 + 5),
+        dict(t_max=2**63),
+        dict(t_max=2**64 + 5),
+        dict(initial_asset=10**400),  # no double holds it
     ])
     def test_rejects_invalid_parameters(self, kwargs):
         base = dict(n_agents=10, saving_rate=0.5, surplus_rate=0.5, t_max=100)
@@ -170,6 +161,16 @@ class TestSimulationParams:
         assert p == SimulationParams(n_agents=10, saving_rate=0.5, surplus_rate=0.5,
                                      t_max=100, seed=3, snapshot_times=(0, 100))
         assert all(type(v) is int for v in (p.n_agents, p.t_max, p.seed, *p.snapshot_times))
+
+    def test_accepts_the_largest_int64_sizes(self):  # never run: it would not end
+        p = SimulationParams(n_agents=2**63 - 1, saving_rate=0.5, surplus_rate=0.5,
+                             t_max=2**63 - 1, snapshot_times=(2**63 - 1,))
+        assert (p.n_agents, p.t_max) == (2**63 - 1, 2**63 - 1)
+
+    @pytest.mark.parametrize("t_max", [2**63, 2**64 + 5, 10**400])
+    def test_resolve_times_refuses_t_max_past_int64(self, t_max):
+        with pytest.raises(ValueError, match=r"t_max < 2\*\*63"):
+            resolve_times(t_max, None, None)
 
 
 def replay_one_step_at_a_time(params: SimulationParams) -> tuple[dict, float]:

@@ -1,13 +1,12 @@
 """The compiled exchange kernel against its references, and backend selection.
 
-``_kernel.c`` computes ``_exchange``'s step, reproduces ``_draw_block``,
-counts ``metrics._tau_counts``' pairs and writes ``_format_rows``' CSV rows.
-These tests hold its loop to the hand-computed steps and properties of
-test_exchange, its draws to ``_draw_block``'s values and generator state in
-every bound regime of numpy's integer draws, its tau counts to the numpy
-ones, its rows to ``str`` and ``repr`` byte for byte, and its runs and
-``kinex simulate`` trees to the same bits on drawn runs, on the
-``REPLAY_CASES`` of test_exchange and on the ``RUN_GOLDENS`` of
+``_kernel.c`` runs ``exchange._run`` with ``_exchange``'s rule, reproduces
+``_draw_block``, counts ``metrics._tau_counts``' pairs and writes
+``_format_rows``' CSV rows. These tests hold its draws to ``_draw_block``'s
+values and generator state in every bound regime of numpy's integer draws,
+its tau counts to the numpy ones, its rows to ``str`` and ``repr`` byte for
+byte, and its runs and ``kinex simulate`` trees to the same bits on drawn
+runs, on the ``REPLAY_CASES`` of test_exchange and on the ``RUN_GOLDENS`` of
 test_golden, by handing kinex each backend in turn. They also pin how the
 backend is resolved: the C kernel whenever ``gcc`` is on PATH and its draws
 and rows pass the load-time probes, else the Python reference with one
@@ -15,7 +14,6 @@ warning and the same digests, nothing built at import and no build module
 loaded from a warm cache.
 """
 
-import ctypes
 import functools
 import hashlib
 import itertools
@@ -35,7 +33,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import test_exchange
 import test_metrics
 from kinex import (SimulationParams, SweepSpec, _backend, exchange, kendall_tau,
                    run_simulation, run_sweep)
@@ -200,46 +197,6 @@ class TestRun:
         params = SimulationParams(n_agents=10, saving_rate=0.5, surplus_rate=0.5, t_max=5)
         with pytest.raises(TypeError, match="PCG64"):
             c_backend.run(np.random.Generator(np.random.PCG64DXSM(0)), params)
-
-
-def c_exchange(*args):
-    """The C loop, loaded (or the test skipped) at its first call."""
-    return load_c_backend().exchange(*args)
-
-
-# test_exchange's hand-computed steps and properties, on the C loop
-TestExchangeStep = test_exchange.exchange_step_tests(c_exchange)
-
-
-class TestArrayContract:
-    @pytest.mark.parametrize("case", ["strided indices", "2-d assets", "float32 eps"])
-    def test_c_exchange_refuses_arrays_it_would_misread(self, c_backend, case):
-        ii, jj, ee = _draw_block(np.random.default_rng(3), 6, 20)
-        assets = np.ones(6)
-        if case == "strided indices":  # C would step through them as if contiguous
-            ii, jj, ee = ii[::2], jj[::2], ee[:10]
-        elif case == "2-d assets":
-            assets = assets.reshape(2, 3)
-        else:
-            ee = ee.astype(np.float32)
-        with pytest.raises(ctypes.ArgumentError):
-            c_backend.exchange(assets, ii, jj, ee, 0.5, 0.5, 0.0)
-        assert assets.tobytes() == np.ones(6).tobytes()
-
-    def test_c_exchange_refuses_blocks_of_unequal_length(self, c_backend):
-        ii, jj, ee = _draw_block(np.random.default_rng(3), 6, 20)
-        assets = np.ones(6)
-        with pytest.raises(ValueError, match="one length"):  # C would read past eps
-            c_backend.exchange(assets, ii, jj, ee[:10], 0.5, 0.5, 0.0)
-        assert assets.tobytes() == np.ones(6).tobytes()
-
-    def test_c_exchange_refuses_read_only_assets(self, c_backend):
-        ii, jj, ee = _draw_block(np.random.default_rng(3), 6, 20)
-        assets = np.ones(6)
-        assets.flags.writeable = False  # C would update it in place
-        with pytest.raises(ctypes.ArgumentError):
-            c_backend.exchange(assets, ii, jj, ee, 0.5, 0.5, 0.0)
-        assert assets.tobytes() == np.ones(6).tobytes()
 
 
 def assert_rows_agree(c_backend, *columns):
