@@ -1,8 +1,9 @@
 """The C unit: how ``_kernel.c`` is built, called and chosen over the Python references.
 
 ``_kernel.c`` holds a C reproduction of ``exchange._draw_block``'s numpy
-algorithms (which draws a 32-bit bound two values per 64-bit word, and one at
-a time where numpy's rejection test may apply), one C call per run that gives
+algorithms for at most 2**32 agents, whose bounds all take numpy's 32-bit path
+(two values per 64-bit word, and one at a time where numpy's rejection test
+may apply), one C call per run that gives
 ``exchange._run``'s snapshots, pool and generator state by doing
 ``exchange._exchange``'s float operations in the same order (choosing the
 poorer side with masks instead of a branch, on two steps at once in the lanes
@@ -18,10 +19,11 @@ if its draws give ``_draw_block``'s values and generator state and its rows
 ``_format_rows``' bytes on fixed probes; ctypes checks the dtype,
 dimension, layout and, for the arrays C writes, writeability of each array
 handed to C.
-A C run draws each block's i and j into a fresh scratch array of 8 bytes a
-step, freed when the run returns, moves each j past its i as its step reads
-it, and draws its eps as each step needs it; the C draws of one block fill a
-fresh array of 24 bytes a step.
+A C run draws each block's i and j into a fresh uint32 scratch array of 8
+bytes a step, freed when the run returns, moves each j past its i as its step
+reads it, and draws its eps as each step needs it. The C draws of one block
+are that fill and the eps; their wrapper widens i and j to int64 and moves j
+past i as ``_draw_block`` does.
 :func:`_python_backend` returns the references. Runs, tau and numeric tables
 take the C backend when it loads, else the Python references with one
 warning; only the runs, the draws, the tau pair counts and the row
@@ -124,19 +126,19 @@ def _c_backend() -> _Backend:
     # and a read-only array where C writes
     i64, f64, u64 = (np.ctypeslib.ndpointer(t, ndim=1, flags="C_CONTIGUOUS")
                      for t in (np.int64, np.float64, np.uint64))
-    i64w, f64w, u8w = (np.ctypeslib.ndpointer(t, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
-                       for t in (np.int64, np.float64, np.uint8))
+    i64w, f64w, u32w, u8w = (np.ctypeslib.ndpointer(t, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
+                             for t in (np.int64, np.float64, np.uint32, np.uint8))
     from . import exchange  # here: exchange imports this module
     library = ctypes.CDLL(str(path))
     words = ctypes.POINTER(ctypes.c_uint64)  # the generator state, in and out
     draw_kernel = library.kinex_draw
     draw_kernel.restype = None
-    draw_kernel.argtypes = (words, ctypes.c_int64, ctypes.c_int64, i64w, i64w, f64w)
+    draw_kernel.argtypes = (words, ctypes.c_int64, ctypes.c_int64, u32w, u32w, f64w)
     run_kernel = library.kinex_run
     run_kernel.restype = ctypes.c_double
     run_kernel.argtypes = ((words, f64w) + (ctypes.c_int64,) * 3 + (i64, ctypes.c_int64)
                            + (np.ctypeslib.ndpointer(np.float64, ndim=2,
-                                                     flags="C_CONTIGUOUS,WRITEABLE"), u8w)
+                                                     flags="C_CONTIGUOUS,WRITEABLE"), u32w)
                            + (ctypes.c_double,) * 2)
     tau_kernel = library.kinex_tau_counts
     tau_kernel.restype = None
@@ -166,23 +168,25 @@ def _c_backend() -> _Backend:
 
     def draw(rng: np.random.Generator, n: int,
              size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # _draw_block(rng, n, size) into the rows of one fresh array
-        if n < 2:  # the kernel would divide by zero
-            raise ValueError(f"need n >= 2 agents to draw pairs, got {n}")
-        ii, jj, ee = np.empty((3, size), np.int64)
-        ee = ee.view(np.float64)
-        on_pcg64(rng, draw_kernel, n, size, ii, jj, ee)
+        # _draw_block(rng, n, size): a run's block of draws, widened and j moved
+        if not 2 <= n <= 2**32:  # the kernel would divide by zero or wrap the bound
+            raise ValueError(f"need n >= 2 and at most 2**32 agents to draw pairs, got {n}")
+        cells = np.empty((2, size), np.uint32)
+        ee = np.empty(size)
+        on_pcg64(rng, draw_kernel, n, size, cells[0], cells[1], ee)
+        ii, jj = cells.astype(np.int64)
+        jj += jj >= ii
         return ii, jj, ee
 
     def run(rng: np.random.Generator,
             params: SimulationParams) -> tuple[dict[int, np.ndarray], float]:
         # exchange._run(rng, params) in one call; its i and j take 8 bytes a step
-        # of fresh scratch (16 where n > 2**32), its eps none
+        # of fresh scratch, its eps none
         n, t_max, times = params.n_agents, params.t_max, params.snapshot_times
         block = exchange._BLOCK
         assets = np.full(n, params.initial_asset)
         rows = np.empty((len(times), n))
-        scratch = np.empty((16 if n > 2**32 else 8) * min(block, t_max), np.uint8)
+        scratch = np.empty(2 * min(block, t_max), np.uint32)
         cumulative = on_pcg64(rng, run_kernel, assets, n, t_max, block,
                               np.array(times, np.int64), len(times), rows, scratch,
                               params.saving_rate, params.surplus_rate)
@@ -215,11 +219,11 @@ def _c_backend() -> _Backend:
 
 def _check_draws(draw: Callable, draw_block: Callable) -> None:
     """Raise RuntimeError unless ``draw`` gives the values and generator state
-    of ``draw_block``, the reference: at n = 2 (j draws nothing), on a 32-bit
-    bound that rejects about half its draws, at 2**32 (plain 32-bit words)
-    and on a 64-bit bound; in two consecutive blocks of odd sizes, so a spare
-    half-word carries from one draw to the next and across blocks."""
-    for n in (2, 1000, 2**31 + 1, 2**32, 2**33 + 3):
+    of ``draw_block``, the reference: at n = 2 (j draws nothing), on a bound
+    that rejects about half its draws and at 2**32 (plain 32-bit words for
+    i); in two consecutive blocks of odd sizes, so a spare half-word carries
+    from one draw to the next and across blocks."""
+    for n in (2, 1000, 2**31 + 1, 2**32):
         want, got = np.random.default_rng(n), np.random.default_rng(n)
         for size in (5, 1001):
             if not (all(map(np.array_equal, draw_block(want, n, size),

@@ -14,23 +14,23 @@
  * -march=native: a fused multiply-add or a reordered sum changes the last
  * bits.
  *
- * kinex_draw reproduces numpy's PCG64 and the algorithms behind
- * Generator.integers and Generator.random, so it writes the very values
- * _draw_block draws and leaves the generator in the same state. A 32-bit
- * bound is drawn two values per 64-bit word, low half first; a pair with a
- * Lemire leftover below the number of choices, a spare half-word carried
- * in and an odd tail take the exact one-value path. kinex checks
- * it against _draw_block when it loads this library and does not use it if
- * they differ.
+ * The draws reproduce numpy's PCG64 and the algorithms behind
+ * Generator.integers and Generator.random, so they give the very values
+ * _draw_block draws and leave the generator in the same state. Every index
+ * is below n <= 2**32, so every bound takes numpy's 32-bit path: two values
+ * per 64-bit word, low half first; a pair with a Lemire leftover below the
+ * number of choices, a spare half-word carried in and an odd tail take the
+ * exact one-value path.
  *
- * kinex_run is a whole run in one call, with exchange_rule and
- * kinex_draw's bounded fill. Each block's i and j go into caller scratch
- * as uint32, 8 bytes a step, since both are below n <= 2**32 (a larger n
- * takes 64-bit cells through the same code); each j is moved past its i as
- * its step reads it, and each eps is drawn as its step runs, from the state
- * the j draws leave, which is where _draw_block's eps come from. Two
- * neighbouring steps on four distinct agents run as one, a lane each; a
- * step that shares an agent with the one before it runs alone.
+ * kinex_run is a whole run in one call, with exchange_rule and that
+ * bounded fill. Each block's i and j go into caller scratch as uint32, 8
+ * bytes a step; each j is moved past its i as its step reads it, and each
+ * eps is drawn as its step runs, from the state the j draws leave, which is
+ * where _draw_block's eps come from. Two neighbouring steps on four
+ * distinct agents run as one, a lane each; a step that shares an agent with
+ * the one before it runs alone. kinex_draw is one block of those draws, j
+ * not yet moved; kinex checks it against _draw_block when it loads this
+ * library and does not use the library if they differ.
  *
  * kinex_tau_counts counts the same pairs as _tau_counts by Knight's (1966)
  * method, in exact integers: stable radix sorts of order-preserving keys
@@ -136,7 +136,7 @@ static inline uint32_t next_uint32(pcg64 *g)
 /* Lemire's method for a 32-bit rng < 2**32 - 1, from the product m of
  * its first word and rng + 1: redraw while the low half of m falls below
  * numpy's threshold, then return the high half. */
-static inline uint64_t lemire32(pcg64 *g, uint64_t m, uint32_t rng)
+static inline uint32_t lemire32(pcg64 *g, uint64_t m, uint32_t rng)
 {
     const uint32_t excl = rng + 1u;
     uint32_t leftover = (uint32_t)m;
@@ -147,70 +147,39 @@ static inline uint64_t lemire32(pcg64 *g, uint64_t m, uint32_t rng)
             leftover = (uint32_t)m;
         }
     }
-    return m >> 32;
+    return (uint32_t)(m >> 32);
 }
 
 /* One value of Generator.integers(0, rng + 1) for int64, by numpy's
- * unmasked bounded path: rng == 0 draws nothing, a 32-bit rng takes
- * Lemire's method on 32-bit words (or a plain word at 2**32 - 1), and a
- * wider one Lemire's method on 64-bit words. rng < 2**63 here. */
-static inline __attribute__((always_inline)) uint64_t bounded(pcg64 *g, uint64_t rng)
+ * unmasked bounded path on 32-bit words: rng == 0 draws nothing, 2**32 - 1
+ * takes a plain word and any other rng Lemire's method. */
+static inline __attribute__((always_inline)) uint32_t bounded(pcg64 *g, uint32_t rng)
 {
     if (rng == 0)
         return 0;
-    if (rng == 0xFFFFFFFFULL)
+    if (rng == UINT32_MAX)
         return next_uint32(g);
-    if (rng < 0xFFFFFFFFULL)
-        return lemire32(g, (uint64_t)next_uint32(g) * ((uint32_t)rng + 1u), (uint32_t)rng);
-    const uint64_t excl = rng + 1u;
-    u128 m = (u128)next_uint64(g) * excl;
-    uint64_t leftover = (uint64_t)m;
-    if (leftover < excl) {
-        const uint64_t threshold = (UINT64_MAX - rng) % excl;
-        while (leftover < threshold) {
-            m = (u128)next_uint64(g) * excl;
-            leftover = (uint64_t)m;
-        }
-    }
-    return (uint64_t)(m >> 64);
+    return lemire32(g, (uint64_t)next_uint32(g) * (rng + 1u), rng);
 }
 
-/* Read and write cell k of an array of drawn indices: 64 bits wide where
- * `wide`, else 32, which hold any index below n <= 2**32. */
-static inline __attribute__((always_inline)) uint64_t get_cell(const void *cells, int64_t k,
-                                                              int wide)
-{
-    return wide ? ((const uint64_t *)cells)[k] : ((const uint32_t *)cells)[k];
-}
-
-static inline __attribute__((always_inline)) void put_cell(void *cells, int64_t k, uint64_t v,
-                                                          int wide)
-{
-    if (wide)
-        ((uint64_t *)cells)[k] = v;
-    else
-        ((uint32_t *)cells)[k] = (uint32_t)v;
-}
-
-/* Fill out with `size` values of bounded(g, rng), in cells as get_cell
- * reads them. A 32-bit rng below 2**32 - 1 takes both halves of each word
- * in one step, low half first as next_uint32 hands them out, and leaves
- * the high half in uinteger as numpy does. bounded() takes a spare half
- * carried in and an odd tail. A pair with a leftover below excl puts its
- * high half back as the spare and finishes the low half by numpy's
- * rejection test; at n <= 1e5 that happens to at most n / 2**32 of the
- * draws. */
-static inline __attribute__((always_inline)) void fill_bounded(pcg64 *gp, uint64_t rng,
-                                                              int64_t size, void *out,
-                                                              int wide)
+/* Fill out with `size` values of bounded(g, rng). An rng below 2**32 - 1
+ * takes both halves of each word in one step, low half first as
+ * next_uint32 hands them out, and leaves the high half in uinteger as numpy
+ * does. bounded() takes a spare half carried in and an odd tail. A pair
+ * with a leftover below excl puts its high half back as the spare and
+ * finishes the low half by numpy's rejection test; at n <= 1e5 that happens
+ * to at most n / 2**32 of the draws. out walks as a pointer: with an index,
+ * gcc 12 kept the cell address on the stack, and kinex_run ran 2-3% slower. */
+static inline __attribute__((always_inline)) void fill_bounded(pcg64 *gp, uint32_t rng,
+                                                              int64_t size, uint32_t *out)
 {
     pcg64 g = *gp; /* a local copy, so the state stays in registers */
-    int64_t k = 0;
-    if (rng != 0 && rng < 0xFFFFFFFFULL) {
-        const uint32_t excl = (uint32_t)rng + 1u;
-        while (k + 1 < size) {
+    uint32_t *const end = out + size;
+    if (rng != 0 && rng != UINT32_MAX) {
+        const uint32_t excl = rng + 1u;
+        while (end - out >= 2) {
             if (g.has_uint32) {
-                put_cell(out, k++, bounded(&g, rng), wide);
+                *out++ = bounded(&g, rng);
                 continue;
             }
             const uint64_t word = next_uint64(&g);
@@ -219,32 +188,17 @@ static inline __attribute__((always_inline)) void fill_bounded(pcg64 *gp, uint64
             g.uinteger = hi;
             if (((uint32_t)m0 < excl) | ((uint32_t)m1 < excl)) {
                 g.has_uint32 = 1;
-                put_cell(out, k++, lemire32(&g, m0, (uint32_t)rng), wide);
+                *out++ = lemire32(&g, m0, rng);
                 continue;
             }
-            put_cell(out, k, m0 >> 32, wide);
-            put_cell(out, k + 1, m1 >> 32, wide);
-            k += 2;
+            out[0] = (uint32_t)(m0 >> 32);
+            out[1] = (uint32_t)(m1 >> 32);
+            out += 2;
         }
     }
-    for (; k < size; k++)
-        put_cell(out, k, bounded(&g, rng), wide);
+    while (out < end)
+        *out++ = bounded(&g, rng);
     *gp = g;
-}
-
-/* Draw `size` steps' i in [0, n) into ii, then their j in [0, n - 1)
- * moved past i into jj, as _draw_block does. n >= 2. kinex_run moves j
- * as it reads it instead. */
-static inline __attribute__((always_inline)) void draw_pairs(pcg64 *g, uint64_t n, int64_t size,
-                                                            void *ii, void *jj, int wide)
-{
-    fill_bounded(g, n - 1u, size, ii, wide);
-    fill_bounded(g, n - 2u, size, jj, wide);
-    /* a pass of its own: in the paired loop gcc makes this compare a branch */
-    for (int64_t k = 0; k < size; k++) {
-        const uint64_t j = get_cell(jj, k, wide);
-        put_cell(jj, k, j + (j >= get_cell(ii, k, wide)), wide);
-    }
 }
 
 /* Generator.random's double in [0, 1): the top 53 bits of a word. */
@@ -269,35 +223,42 @@ static inline void store_state(const pcg64 *g, uint64_t *st)
     st[5] = g->uinteger;
 }
 
-static inline __attribute__((always_inline)) double run_blocks(
-    pcg64 *gp, double *assets, int64_t n, int64_t t_max, int64_t block,
-    const int64_t *times, int64_t ntimes, double *snapshots, void *scratch,
-    double saving_rate, double surplus_rate, int wide)
+/* A whole run of _run: t_max steps for 2 <= n <= 2**32 agents on assets, in
+ * blocks of `block` steps. Each block's i and then j are drawn into scratch,
+ * 2 * min(block, t_max) uint32 cells, and each j is moved past its i as the
+ * step reads it; then its steps run, each drawing its eps from the state the
+ * j draws leave, where _draw_block's eps come from. Two neighbouring steps
+ * whose four agents are distinct run as one in two lanes, eps in stream
+ * order and the first step's pool added first; a step that shares an agent
+ * with the one before it, or ends a segment alone, runs on one lane. At each
+ * of the ntimes ascending times in [0, t_max], assets are copied into the
+ * next n-double row of snapshots. Returns the cumulative pool; st holds the
+ * generator state in and out, as load_state reads it. */
+double kinex_run(uint64_t *st, double *assets, int64_t n, int64_t t_max, int64_t block,
+                 const int64_t *times, int64_t ntimes, double *snapshots, uint32_t *scratch,
+                 double saving_rate, double surplus_rate)
 {
-    pcg64 g = *gp;
+    pcg64 g = load_state(st);
     const double lam = saving_rate;
     const double gam = surplus_rate;
     const double oml = 1.0 - lam;
     const double keep = oml * (1.0 - gam); /* the richer side's withheld share of the gap */
-    void *ii = scratch;
-    void *jj = (char *)scratch + (size_t)(block < t_max ? block : t_max) * (wide ? 8 : 4);
+    uint32_t *ii = scratch, *jj = scratch + (block < t_max ? block : t_max);
     double cumulative = 0.0;
     int64_t s = 0; /* the next snapshot */
     for (int64_t t = 0; t < t_max;) {
         const int64_t start = t, end = t_max - t < block ? t_max : t + block;
-        fill_bounded(&g, (uint64_t)n - 1u, end - start, ii, wide);
-        fill_bounded(&g, (uint64_t)n - 2u, end - start, jj, wide);
+        fill_bounded(&g, (uint32_t)(n - 1), end - start, ii);
+        fill_bounded(&g, (uint32_t)(n - 2), end - start, jj);
         while (t < end) {
             /* steps t + 1 .. stop, up to the next snapshot (none for time 0) */
             const int64_t stop = s < ntimes && times[s] < end ? times[s] : end;
             while (t < stop) {
                 /* j is moved past i as it is read: gcc makes this a cmp/sbb */
-                const uint64_t i0 = get_cell(ii, t - start, wide);
-                const uint64_t j0 = get_cell(jj, t - start, wide);
+                const uint64_t i0 = ii[t - start], j0 = jj[t - start];
                 const uint64_t j0s = j0 + (j0 >= i0);
                 if (t + 1 < stop) {
-                    const uint64_t i1 = get_cell(ii, t + 1 - start, wide);
-                    const uint64_t j1 = get_cell(jj, t + 1 - start, wide);
+                    const uint64_t i1 = ii[t + 1 - start], j1 = jj[t + 1 - start];
                     const uint64_t j1s = j1 + (j1 >= i1);
                     /* two steps on four distinct agents run as one, in two lanes */
                     if ((i1 != i0) & (i1 != j0s) & (j1s != i0) & (j1s != j0s)) {
@@ -324,33 +285,6 @@ static inline __attribute__((always_inline)) double run_blocks(
                 memcpy(snapshots + s++ * n, assets, (size_t)n * sizeof *assets);
         }
     }
-    *gp = g;
-    return cumulative;
-}
-
-/* A whole run of _run: t_max steps for n >= 2 agents on assets, in blocks
- * of `block` steps. Each block's i and then j are drawn into scratch, 2 *
- * min(block, t_max) cells of 32 bits (of 64 where n > 2**32), and each j is
- * moved past its i as the step reads it; then its steps run, each drawing
- * its eps from the state the j draws leave, where _draw_block's eps come
- * from. Two neighbouring steps whose four agents are distinct run as one in
- * two lanes, eps in stream order and the first step's pool added first; a
- * step that shares an agent with the one before it, or ends a segment
- * alone, runs on one lane. At each of the ntimes ascending times in
- * [0, t_max], assets are copied into the next n-double row of snapshots.
- * Returns the cumulative pool; st holds the generator state in and out, as
- * load_state reads it. */
-double kinex_run(uint64_t *st, double *assets, int64_t n, int64_t t_max, int64_t block,
-                 const int64_t *times, int64_t ntimes, double *snapshots, void *scratch,
-                 double saving_rate, double surplus_rate)
-{
-    pcg64 g = load_state(st);
-    const double cumulative =
-        n > (int64_t)1 << 32
-            ? run_blocks(&g, assets, n, t_max, block, times, ntimes, snapshots, scratch,
-                         saving_rate, surplus_rate, 1)
-            : run_blocks(&g, assets, n, t_max, block, times, ntimes, snapshots, scratch,
-                         saving_rate, surplus_rate, 0);
     store_state(&g, st);
     return cumulative;
 }
@@ -361,14 +295,16 @@ double kinex_run(uint64_t *st, double *assets, int64_t n, int64_t t_max, int64_t
  * at 0x22f0 or at 0x14d0, where it starts now. gcc emits the static schubfach
  * and radix_sort before it, so an edit to them moves it too.
  *
- * Draw `size` steps for n >= 2 agents in _draw_block's order: every i,
- * every j, then every eps in [0, 1). st holds the generator state in and
- * out, as load_state reads it. */
-void kinex_draw(uint64_t *st, int64_t n, int64_t size, int64_t *ii, int64_t *jj,
+ * Draw `size` steps for 2 <= n <= 2**32 agents as a run's block does: every
+ * i in [0, n), every j in [0, n - 1), not yet moved past its i, then every
+ * eps in [0, 1). st holds the generator state in and out, as load_state
+ * reads it. */
+void kinex_draw(uint64_t *st, int64_t n, int64_t size, uint32_t *ii, uint32_t *jj,
                 double *ee)
 {
     pcg64 g = load_state(st);
-    draw_pairs(&g, (uint64_t)n, size, ii, jj, 1);
+    fill_bounded(&g, (uint32_t)(n - 1), size, ii);
+    fill_bounded(&g, (uint32_t)(n - 2), size, jj);
     for (int64_t k = 0; k < size; k++)
         ee[k] = next_double(&g);
     store_state(&g, st);

@@ -32,7 +32,9 @@ class SimulationParams:
     ``t_max`` counts pairwise exchanges (one exchange per tick, not one
     sweep of N exchanges). ``snapshot_times`` must be strictly ascending
     integers in [0, t_max]; time 0 denotes the pre-exchange state.
-    ``n_agents`` and ``t_max`` stay below 2**63: the C unit takes both as int64.
+    ``n_agents`` is at most 2**32, so each drawn index fits the C unit's 32-bit
+    cells (a run that large needs 32 GiB for its assets alone); ``t_max`` stays
+    below 2**63, since the C unit takes it as int64.
     """
 
     n_agents: int
@@ -44,8 +46,8 @@ class SimulationParams:
     snapshot_times: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not _is_integer(self.n_agents) or not 2 <= self.n_agents < 2**63:
-            raise ValueError(f"n_agents must be an integer in [2, 2**63), got {self.n_agents!r}")
+        if not _is_integer(self.n_agents) or not 2 <= self.n_agents <= 2**32:
+            raise ValueError(f"n_agents must be an integer in [2, 2**32], got {self.n_agents!r}")
         for name in ("saving_rate", "surplus_rate"):
             value = getattr(self, name)
             if not (_is_real(value) and 0.0 <= value <= 1.0):

@@ -508,7 +508,8 @@ class TestConfigHandling:
     # inputs past a reader's limits: a CSV field longer than csv.field_size_limit()
     # (131,072 characters), JSON nested deeper than the recursion limit, a JSON
     # integer of more digits than int() reads (4,300), a sweep of more jobs than
-    # it lists, and runs of more steps than the C unit's int64 holds
+    # it lists, runs of more steps than the C unit's int64 holds and of more
+    # agents than its 32-bit cells index
     DEEP_JSON = "[" * 100_000 + "]" * 100_000
     LONG_INTEGER = "9" * 5000
     OVERSIZED_INPUTS = [
@@ -538,6 +539,13 @@ class TestConfigHandling:
         (["sweep", "--config"], "t_max.json",
          json.dumps({"sweep": {**SMALL_SWEEP["sweep"], "t_max": 2**64 + 5}}),
          "kinex: need integers 0 <= t1 < t2 <= t_max < 2**63, got t1=None"),
+        (["simulate", "--config"], "n_agents.json",
+         json.dumps({"simulate": {"n_agents": 2**32 + 1, "saving_rate": 0.5,
+                                  "surplus_rate": 0.5, "t_max": 10}}),
+         "kinex: n_agents must be an integer in [2, 2**32], got 4294967297"),
+        (["sweep", "--config"], "n_agents.json",
+         json.dumps({"sweep": {**SMALL_SWEEP["sweep"], "n_agents": 2**32 + 1}}),
+         "kinex: n_agents must be an integer in [2, 2**32], got 4294967297"),
     ]
 
     @pytest.mark.parametrize("argv, name, content, message", OVERSIZED_INPUTS,

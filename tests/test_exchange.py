@@ -142,9 +142,10 @@ class TestSimulationParams:
         dict(surplus_rate=None),
         dict(initial_asset="1.0"),
         dict(saving_rate=np.True_),
-        dict(n_agents=2**63),  # the C unit takes n_agents and t_max as int64
+        dict(n_agents=2**32 + 1),  # the C unit draws indices into 32-bit cells
+        dict(n_agents=2**63),
         dict(n_agents=2**64 + 5),
-        dict(t_max=2**63),
+        dict(t_max=2**63),  # the C unit takes t_max as int64
         dict(t_max=2**64 + 5),
         dict(initial_asset=10**400),  # no double holds it
     ])
@@ -163,9 +164,10 @@ class TestSimulationParams:
         assert all(type(v) is int for v in (p.n_agents, p.t_max, p.seed, *p.snapshot_times))
 
     def test_accepts_the_largest_int64_sizes(self):  # never run: it would not end
-        p = SimulationParams(n_agents=2**63 - 1, saving_rate=0.5, surplus_rate=0.5,
+        # the most agents the 32-bit cells hold, and the largest int64 t_max
+        p = SimulationParams(n_agents=2**32, saving_rate=0.5, surplus_rate=0.5,
                              t_max=2**63 - 1, snapshot_times=(2**63 - 1,))
-        assert (p.n_agents, p.t_max) == (2**63 - 1, 2**63 - 1)
+        assert (p.n_agents, p.t_max) == (2**32, 2**63 - 1)
 
     @pytest.mark.parametrize("t_max", [2**63, 2**64 + 5, 10**400])
     def test_resolve_times_refuses_t_max_past_int64(self, t_max):

@@ -3,8 +3,8 @@
 ``_kernel.c`` runs ``exchange._run`` with ``_exchange``'s rule, reproduces
 ``_draw_block``, counts ``metrics._tau_counts``' pairs and writes
 ``_format_rows``' CSV rows. These tests hold its draws to ``_draw_block``'s
-values and generator state in every bound regime of numpy's integer draws,
-its tau counts to the numpy ones, its rows to ``str`` and ``repr`` byte for
+values and generator state in every bound regime of numpy's 32-bit integer
+draws, which are all a run of at most 2**32 agents takes, its tau counts to the numpy ones, its rows to ``str`` and ``repr`` byte for
 byte, and its runs and ``kinex simulate`` trees to the same bits on drawn
 runs, on the ``REPLAY_CASES`` of test_exchange and on the ``RUN_GOLDENS`` of
 test_golden, by handing kinex each backend in turn. They also pin how the
@@ -405,9 +405,9 @@ class TestTau:
 
 # numpy's bounded integer draws by the bound n - 1 of i and n - 2 of j: n = 2
 # draws nothing for j; 3 and 1000 take 32-bit Lemire draws, which at 2**31 + 1
-# reject about half the time; 2**32 takes plain 32-bit words for i; 2**32 + 1
-# and 2**33 + 3 take 64-bit Lemire draws
-DRAW_NS = (2, 3, 1000, 2**31 + 1, 2**32, 2**32 + 1, 2**33 + 3)
+# reject about half the time; 2**32 - 1 gives i the largest Lemire bound;
+# 2**32, the most agents a run takes, draws plain 32-bit words for i
+DRAW_NS = (2, 3, 1000, 2**31 + 1, 2**32 - 1, 2**32)
 DRAW_SIZES = (1, 2, 3, 4097)
 
 
@@ -427,6 +427,8 @@ class TestDraws:
     def test_c_draws_refuse_what_they_cannot_reproduce(self, c_backend):
         with pytest.raises(ValueError, match="n >= 2"):  # the kernel would divide by zero
             c_backend.draw(np.random.default_rng(0), 1, 5)
+        with pytest.raises(ValueError, match=r"at most 2\*\*32"):  # past the 32-bit cells
+            c_backend.draw(np.random.default_rng(0), 2**32 + 1, 5)
         with pytest.raises(TypeError, match="PCG64"):
             c_backend.draw(np.random.Generator(np.random.PCG64DXSM(0)), 10, 5)
 
@@ -552,7 +554,7 @@ class TestPairedDraws:
             assert_c_draws_equal_draw_block(c_backend, want, got, n, (4, 2))
 
     @settings(max_examples=200, deadline=None)
-    @given(n=st.integers(min_value=3, max_value=2**32 - 2),
+    @given(n=st.integers(min_value=3, max_value=2**32),
            seed=st.integers(min_value=0, max_value=2**64 - 1),
            sizes=st.tuples(st.integers(min_value=1, max_value=64),
                            st.integers(min_value=1, max_value=64)))
