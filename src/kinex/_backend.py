@@ -7,8 +7,8 @@ may apply), one C call per run that gives
 ``exchange._run``'s snapshots, pool and generator state by doing
 ``exchange._exchange``'s float operations in the same order (choosing the
 poorer side with masks instead of a branch, on two steps at once in the lanes
-of a 16-byte vector where their four agents are distinct, and on one lane
-where a step shares an agent with the one before it), a C count of
+of a 16-byte vector where their four agents are distinct, and else on one
+step in both lanes), a C count of
 ``metrics._tau_counts``' pairs (by radix sorts and a Fenwick tree) and a C
 writer of :func:`_format_rows`' CSV rows. Its doubles take Schubfach's
 shortest digits (Giulietti 2020) in ``repr``'s layout, without the paper's

@@ -9,7 +9,7 @@
  * with integer masks instead of a branch, which random pairs would make
  * the CPU mispredict about half the time. The rule is written once over
  * two lanes of a 16-byte vector (SSE2 on x86-64, NEON on aarch64), whose
- * lane operations are the scalar ones; a lone step runs on lane 0.
+ * lane operations are the scalar ones, and every step takes that one path.
  * Build with -O2 -ffp-contract=off and never with -ffast-math or
  * -march=native: a fused multiply-add or a reordered sum changes the last
  * bits.
@@ -27,10 +27,10 @@
  * bytes a step; each j is moved past its i as its step reads it, and each
  * eps is drawn as its step runs, from the state the j draws leave, which is
  * where _draw_block's eps come from. Two neighbouring steps on four
- * distinct agents run as one, a lane each; a step that shares an agent with
- * the one before it runs alone. kinex_draw is one block of those draws, j
- * not yet moved; kinex checks it against _draw_block when it loads this
- * library and does not use the library if they differ.
+ * distinct agents run as one, a lane each; any other step fills both lanes.
+ * kinex_draw is one block of those draws, j not yet moved; kinex checks it
+ * against _draw_block when it loads this library and does not use the
+ * library if they differ.
  *
  * kinex_tau_counts counts the same pairs as _tau_counts by Knight's (1966)
  * method, in exact integers: stable radix sorts of order-preserving keys
@@ -65,9 +65,9 @@ static inline double double_of(uint64_t u)
 typedef double v2d __attribute__((vector_size(16)));
 typedef int64_t v2i __attribute__((vector_size(16)));
 
-/* The rule on two independent steps, one per lane: mi and mj hold each
- * lane's two agents' assets and become their new ones, i receiving eps of
- * the pool. Returns each lane's pool. */
+/* The rule on two independent steps, or on one step twice, a lane each: mi
+ * and mj hold each lane's two agents' assets and become their new ones, i
+ * receiving eps of the pool. Returns each lane's pool. */
 static inline __attribute__((always_inline)) v2d exchange_rule(v2d *mi, v2d *mj, v2d eps,
                                                               double lam, double gam,
                                                               double oml, double keep)
@@ -86,19 +86,6 @@ static inline __attribute__((always_inline)) v2d exchange_rule(v2d *mi, v2d *mj,
     *mi = lam * *mi + (v2d)(kept & ~i_poorer) + eps * pool;
     *mj = lam * *mj + (v2d)(kept & i_poorer) + fps * pool;
     return pool;
-}
-
-/* One exchange between positions i and j, on lane 0 of the rule: a lone
- * step of kinex_run. Returns the step's pool. */
-static inline __attribute__((always_inline)) double exchange_step(
-    double *assets, uint64_t i, uint64_t j, double eps, double lam, double gam,
-    double oml, double keep)
-{
-    v2d mi = {assets[i]}, mj = {assets[j]};
-    const v2d pool = exchange_rule(&mi, &mj, (v2d){eps}, lam, gam, oml, keep);
-    assets[i] = mi[0];
-    assets[j] = mj[0];
-    return pool[0];
 }
 
 __extension__ typedef unsigned __int128 u128;
@@ -229,11 +216,11 @@ static inline void store_state(const pcg64 *g, uint64_t *st)
  * step reads it; then its steps run, each drawing its eps from the state the
  * j draws leave, where _draw_block's eps come from. Two neighbouring steps
  * whose four agents are distinct run as one in two lanes, eps in stream
- * order and the first step's pool added first; a step that shares an agent
- * with the one before it, or ends a segment alone, runs on one lane. At each
- * of the ntimes ascending times in [0, t_max], assets are copied into the
- * next n-double row of snapshots. Returns the cumulative pool; st holds the
- * generator state in and out, as load_state reads it. */
+ * order and the first step's pool added first; any other step runs in both
+ * lanes on one eps and adds its pool once. At each of the ntimes ascending
+ * times in [0, t_max], assets are copied into the next n-double row of
+ * snapshots. Returns the cumulative pool; st holds the generator state in
+ * and out, as load_state reads it. */
 double kinex_run(uint64_t *st, double *assets, int64_t n, int64_t t_max, int64_t block,
                  const int64_t *times, int64_t ntimes, double *snapshots, uint32_t *scratch,
                  double saving_rate, double surplus_rate)
@@ -257,29 +244,31 @@ double kinex_run(uint64_t *st, double *assets, int64_t n, int64_t t_max, int64_t
                 /* j is moved past i as it is read: gcc makes this a cmp/sbb */
                 const uint64_t i0 = ii[t - start], j0 = jj[t - start];
                 const uint64_t j0s = j0 + (j0 >= i0);
+                const double e0 = next_double(&g);
+                /* lane 1 takes the next step if its agents are distinct, else this one */
+                uint64_t i1 = i0, j1s = j0s;
+                double e1 = e0;
+                int pair = 0;
                 if (t + 1 < stop) {
-                    const uint64_t i1 = ii[t + 1 - start], j1 = jj[t + 1 - start];
-                    const uint64_t j1s = j1 + (j1 >= i1);
-                    /* two steps on four distinct agents run as one, in two lanes */
-                    if ((i1 != i0) & (i1 != j0s) & (j1s != i0) & (j1s != j0s)) {
-                        const double e0 = next_double(&g);
-                        const double e1 = next_double(&g);
-                        v2d mi = {assets[i0], assets[i1]}, mj = {assets[j0s], assets[j1s]};
-                        const v2d pool = exchange_rule(&mi, &mj, (v2d){e0, e1}, lam, gam,
-                                                       oml, keep);
-                        assets[i0] = mi[0];
-                        assets[j0s] = mj[0];
-                        assets[i1] = mi[1];
-                        assets[j1s] = mj[1];
-                        cumulative += pool[0];
-                        cumulative += pool[1];
-                        t += 2;
-                        continue;
+                    const uint64_t in = ii[t + 1 - start], jn = jj[t + 1 - start];
+                    const uint64_t jns = jn + (jn >= in);
+                    pair = (in != i0) & (in != j0s) & (jns != i0) & (jns != j0s);
+                    if (pair) {
+                        i1 = in;
+                        j1s = jns;
+                        e1 = next_double(&g);
                     }
                 }
-                cumulative += exchange_step(assets, i0, j0s, next_double(&g), lam, gam,
-                                            oml, keep);
-                t++;
+                v2d mi = {assets[i0], assets[i1]}, mj = {assets[j0s], assets[j1s]};
+                const v2d pool = exchange_rule(&mi, &mj, (v2d){e0, e1}, lam, gam, oml, keep);
+                assets[i0] = mi[0];
+                assets[j0s] = mj[0];
+                assets[i1] = mi[1];
+                assets[j1s] = mj[1];
+                cumulative += pool[0];
+                if (pair)
+                    cumulative += pool[1];
+                t += 1 + pair;
             }
             if (s < ntimes && times[s] == t)
                 memcpy(snapshots + s++ * n, assets, (size_t)n * sizeof *assets);

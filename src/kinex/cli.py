@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING
 # (exchange, metrics, numpy) when it runs, and sweep also the sweep module
 from .empirical import (_csv_rows, classify_groups, derive, fit_groups, load_countries,
                         percentile_thresholds)
-from .errors import ConfigError, DegenerateDataError, KinexError, ParseError
+from .errors import ConfigError, KinexError, ParseError
 from .fitting import fit_linear, flow_gini_ratio_points, tau_vs_flow_points
 from .params import SimulationParams, SweepCell, SweepSpec, _is_integer, resolve_times
 
@@ -258,7 +258,7 @@ def cmd_simulate(args, config: dict, out_dir: Path, fmt: str) -> int:
         try:
             fit = gamma_fit(positive)
             gamma_rows.append([t, int(positive.size), fit.shape, fit.scale])
-        except (ValueError, DegenerateDataError):
+        except ValueError:  # DegenerateDataError is one
             gamma_rows.append([t, int(positive.size), "", ""])
     _write_table(out_dir, "gini_series", ["t", "gini"], gini_rows, fmt)
     _write_table(out_dir, "gamma_fits", ["t", "n_positive", "shape", "scale"],

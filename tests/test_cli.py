@@ -350,10 +350,16 @@ class TestEmpirical:
                         "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
 
-    def test_only_incomplete_rows_is_a_runtime_failure(self, tmp_path):
-        data = tmp_path / "d.csv"
-        data.write_text("country,f,g,lambda,gamma\nJapan,393,,0.280,\n")
-        assert run_cli(["empirical", "--data", str(data), "--out", str(tmp_path / "o")]) == 1
+    def test_only_incomplete_rows_is_a_runtime_failure(self, tmp_path, capsys):
+        # no complete record, then complete records whose largest f is 0
+        for table, message in [("Japan,393,,0.280,\n", "no complete records to derive from"),
+                               ("Japan,0,0.3,0.28,0.5\nItaly,0,0.33,0.2,0.4\n",
+                                "maximum f must be positive")]:
+            data = tmp_path / "d.csv"
+            data.write_text("country,f,g,lambda,gamma\n" + table)
+            assert run_cli(["empirical", "--data", str(data), "--out", str(tmp_path / "o")]) == 1
+            assert capsys.readouterr().err == f"kinex: {message}\n"
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
 
     def test_parse_error_exits_two(self, tmp_path, capsys):
         data = tmp_path / "d.csv"

@@ -14,11 +14,13 @@ warning and the same digests, nothing built at import and no build module
 loaded from a warm cache.
 """
 
+import ctypes
 import functools
 import hashlib
 import itertools
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -44,6 +46,8 @@ from test_exchange import REPLAY_CASES, SPAN, replay_one_step_at_a_time
 from test_golden import RUN_GOLDENS, SWEEP_CONFIG, SWEEP_CSV_SHA256
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+KERNEL = SRC / "kinex" / "_kernel.c"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
 PYTHON = _python_backend()
 
 
@@ -160,10 +164,11 @@ class TestRun:
     """One C call per run against ``exchange._run``, the reference, with
     ``_BLOCK`` shrunk so that a run crosses many odd blocks and carries a
     spare half-word from one block's draws into the next. The C run takes
-    two steps at once where their four agents are distinct and one where a
-    step shares an agent with the one before it or ends a segment alone: at
-    n = 3 every step runs alone, and at n = 5 and 8 (where about 70% and 46%
-    of neighbouring steps share an agent) paired and lone steps alternate."""
+    two steps at once, a lane each, where their four agents are distinct, and
+    one step in both lanes where it shares an agent with the next or ends a
+    segment: at n = 3 every step runs alone, and at n = 5 and 8 (where about
+    70% and 46% of neighbouring steps share an agent) paired and lone steps
+    alternate."""
 
     @pytest.mark.parametrize("block", (1, 2, 3, 7, 64))
     @pytest.mark.parametrize("n", (2, 3, 5, 8, 40))  # at n = 2, j draws nothing
@@ -309,7 +314,7 @@ def assert_counts_agree(c_backend, x, y):
 TIE_VALUES = (-0.0, 0.0, 0.5, 1.0, 2.0)
 tie_heavy_pair = st.integers(min_value=2, max_value=200).flatmap(
     lambda n: st.tuples(*[st.lists(st.sampled_from(TIE_VALUES), min_size=n, max_size=n)] * 2))
-# the C merges pair up blocks of width 1, 2, 4, ...: sizes around each power of two
+# metrics._inversions merges blocks of width 1, 2, 4, ...: sizes around each power of two
 MERGE_EDGE_SIZES = sorted({2, 3} | {2**k + d for k in range(2, 12) for d in (-1, 0, 1)})
 
 
@@ -370,6 +375,12 @@ class TestTau:
     @given(pair=extreme_pair)
     def test_c_counts_equal_numpy_on_extreme_values(self, c_backend, pair):
         assert_counts_agree(c_backend, *pair)
+
+    def test_c_counts_refuse_vectors_they_would_misread(self, c_backend):
+        # the kernel reads y as far as x, and needs two agents to count a pair
+        for x, y in [(np.ones(3), np.ones(4)), (np.ones(4), np.ones(3)), ([1.0], [2.0])]:
+            with pytest.raises(ValueError, match="one length >= 2"):
+                c_backend.tau_counts(x, y)
 
     def test_c_counts_equal_numpy_on_large_run_snapshots(self, c_backend):
         # about e**-2 of the agents have not traded by t = 1e5: they tie at 1.0
@@ -633,6 +644,17 @@ class TestBackendSelection:
         assert done.returncode == 0, done.stderr
         assert done.stderr.startswith(f"{SRC / 'kinex' / 'cli.py'}:"), done.stderr
 
+    def test_failing_build_falls_back_once_and_leaves_no_file(self, no_compiler, tmp_path):
+        gcc = tmp_path / "bin" / "gcc"
+        gcc.write_text("#!/bin/sh\necho 'kernel.c:1: error: no luck' >&2\nexit 1\n")
+        gcc.chmod(0o755)
+        with pytest.warns(RuntimeWarning) as caught:
+            assert _resolve_backend().name == "python"
+            assert _resolve_backend().name == "python"
+        assert len(caught) == 1
+        assert "gcc failed: kernel.c:1: error: no luck" in str(caught[0].message)
+        assert list((no_compiler / "kinex").iterdir()) == []  # the temporary .so is gone
+
     def test_unwritable_cache_falls_back(self, c_backend, fresh_resolution,
                                          tmp_path, monkeypatch):
         blocker = tmp_path / "not-a-directory"
@@ -672,6 +694,12 @@ class TestBackendSelection:
         assert _resolve_backend().name == "c"
         (library,) = (tmp_path / "kinex").iterdir()  # no temporary file is left behind
         assert library.suffix == ".so"
+        # kinex_run is the first export: its speed moved with its offset (_kernel.c)
+        loaded = ctypes.CDLL(str(library))
+        addresses = {name: ctypes.cast(getattr(loaded, name), ctypes.c_void_p).value
+                     for name in ("kinex_run", "kinex_draw", "kinex_tau_counts",
+                                  "kinex_format_rows")}
+        assert min(addresses, key=addresses.get) == "kinex_run", addresses
 
     def test_relative_cache_home_is_ignored(self, c_backend, fresh_resolution,
                                             tmp_path, monkeypatch):
@@ -701,3 +729,30 @@ class TestBackendSelection:
                    PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
         subprocess.run([sys.executable, "-c", "import kinex.cli"], env=env, check=True)
         assert list(tmp_path.iterdir()) == []
+
+
+class TestKernelAB:
+    """``tools/kernel_ab.py``, the same-process A/B of ``kinex_run`` between two
+    versions of ``_kernel.c``, on tiny runs."""
+
+    def ab(self, old: Path, new: Path) -> subprocess.CompletedProcess:
+        if shutil.which("gcc") is None:
+            pytest.skip("no gcc on PATH to build the C exchange kernel")
+        return subprocess.run([sys.executable, str(TOOLS / "kernel_ab.py"), str(old), str(new),
+                               "--size", "10", "300", "4", "--size", "3", "50", "2",
+                               "--rounds", "2"], capture_output=True, text=True)
+
+    def test_kernel_against_itself_is_the_null_ab(self):
+        done = self.ab(KERNEL, KERNEL)
+        assert done.returncode == 0, done.stderr
+        assert len(re.findall(r"^N=\d+ T=\d+ round [12]: new/old median \d\.\d{3} .*"
+                              r"new faster in \d of [24]$", done.stdout, re.M)) == 4, done.stdout
+
+    def test_outputs_that_differ_fail(self, tmp_path):
+        source = KERNEL.read_text()
+        changed = tmp_path / "changed.c"  # the same run, its pool doubled
+        changed.write_text(source.replace("    return cumulative;", "    return cumulative * 2;"))
+        assert changed.read_text() != source
+        done = self.ab(KERNEL, changed)
+        assert done.returncode == 1, done.stderr
+        assert done.stdout == "N=10 T=300: outputs differ in call 0 of round 1\n"
