@@ -52,13 +52,6 @@ static inline uint64_t bits_of(double v)
     return u;
 }
 
-static inline double double_of(uint64_t u)
-{
-    double v;
-    memcpy(&v, &u, sizeof v);
-    return v;
-}
-
 /* Two lanes of doubles and of their bit masks: GCC's generic vectors, SSE2
  * on x86-64 and NEON on aarch64, whose lane operations are the scalar IEEE
  * ones, so each lane gives the one-step bits. */
@@ -278,11 +271,12 @@ double kinex_run(uint64_t *st, double *assets, int64_t n, int64_t t_max, int64_t
     return cumulative;
 }
 
-/* kinex_draw comes after kinex_run, which is thus the library's first
- * exported function. kinex_run's median time moves by ~10% with its offset
- * alone (gcc 12.2, x86-64): the same code ran that much slower at 0x21c0 than
- * at 0x22f0 or at 0x14d0, where it starts now. gcc emits the static schubfach
- * and radix_sort before it, so an edit to them moves it too.
+/* kinex_draw comes after kinex_run, the first exported function, so an edit
+ * below kinex_run leaves its code and address unchanged and an A/B of it
+ * times one kinex_run; gcc emits the static radix_sort and schubfach first.
+ * One build ran ~10% slower at 0x21c0 than at 0x22f0 or 0x14d0 (gcc 12.2,
+ * x86-64, 2 vCPU Xeon), yet whole-function shifts of 16 to 2,048 bytes
+ * moved neither of two later builds, so what the offset costs is open.
  *
  * Draw `size` steps for 2 <= n <= 2**32 agents as a run's block does: every
  * i in [0, n), every j in [0, n - 1), not yet moved past its i, then every
@@ -314,22 +308,18 @@ static inline uint64_t order_key(double v)
     return u ^ ((uint64_t)((int64_t)u >> 63) | 1ULL << 63);
 }
 
-/* Stable LSD radix sort of the n entries of a by key, a byte at a time,
- * with b as scratch. Returns a or b, whichever holds the result. One pass
- * counts all eight digits and one loop turns the counts into each digit's
- * bucket starts; a digit that every key shares moves nothing and is
- * skipped. Keys travel with their values, so no pass reads memory through
- * an index. The counts live on the stack: sweep threads call this at once. */
-static keyed *radix_sort(keyed *a, keyed *b, int64_t n)
+/* Stable LSD radix sort of the n entries of a by key, a byte at a time, with
+ * b as scratch; the eighth pass leaves them in a. One pass counts all eight
+ * digits and one loop turns the counts into bucket starts. Keys travel with
+ * their values, so no pass reads through an index. The counts live on the
+ * stack: sweep threads call this at once. */
+static void radix_sort(keyed *a, keyed *b, int64_t n)
 {
     int64_t start[256][8]; /* [digit value][digit] */
     memset(start, 0, sizeof start);
     for (int64_t k = 0; k < n; k++)
         for (int d = 0; d < 8; d++)
             start[a[k].key >> 8 * d & 255][d]++;
-    int shared = 0; /* bit d set when every key has a[0]'s digit d */
-    for (int d = 0; d < 8; d++)
-        shared |= (start[a[0].key >> 8 * d & 255][d] == n) << d;
     int64_t sum[8] = {0};
     for (int v = 0; v < 256; v++)
         for (int d = 0; d < 8; d++) {
@@ -338,15 +328,12 @@ static keyed *radix_sort(keyed *a, keyed *b, int64_t n)
             sum[d] += size;
         }
     for (int d = 0; d < 8; d++) {
-        if (shared >> d & 1)
-            continue;
         for (int64_t k = 0; k < n; k++)
             b[start[a[k].key >> 8 * d & 255][d]++] = a[k];
         keyed *t = a;
         a = b;
         b = t;
     }
-    return a;
 }
 
 /* The pair counts of _tau_counts for two snapshots x and y of n >= 2
@@ -362,29 +349,29 @@ void kinex_tau_counts(const double *x, const double *y, int64_t n, int64_t *work
     keyed *a = (keyed *)work, *b = a + n;
     for (int64_t k = 0; k < n; k++)
         a[k] = (keyed){order_key(y[k]), (uint64_t)k};
-    keyed *order = radix_sort(a, b, n);
+    radix_sort(a, b, n);
     int64_t ties_y = 0, run_y = 0;
-    uint64_t rank = 0, last = order[0].key;
+    uint64_t rank = 0, last = a[0].key;
     for (int64_t k = 0; k < n; k++) {
-        const uint64_t key = order[k].key;
+        const uint64_t key = a[k].key;
         run_y = k && key == last ? run_y + 1 : 0;
         rank += k && !run_y;
         ties_y += run_y;
         last = key;
-        order[k] = (keyed){order_key(x[order[k].val]), rank};
+        a[k] = (keyed){order_key(x[a[k].val]), rank};
     }
-    order = radix_sort(order, order == a ? b : a, n);
+    radix_sort(a, b, n);
     /* tree[i], for i in [1, size], counts the agents seen so far at ranks
      * i - (i & -i) to i - 1 */
     const int64_t size = (int64_t)rank + 1;
-    int64_t *tree = (int64_t *)(order == a ? b : a);
+    int64_t *tree = (int64_t *)b;
     memset(tree, 0, (size_t)(size + 1) * sizeof *tree);
     int64_t ties_x = 0, ties_both = 0, run_x = 0, run_both = 0, discordant = 0;
     for (int64_t k = 0; k < n; k++) {
-        const int64_t r = (int64_t)order[k].val;
+        const int64_t r = (int64_t)a[k].val;
         if (k) {
-            run_x = order[k].key == order[k - 1].key ? run_x + 1 : 0;
-            run_both = run_x && (int64_t)order[k - 1].val == r ? run_both + 1 : 0;
+            run_x = a[k].key == a[k - 1].key ? run_x + 1 : 0;
+            run_both = run_x && (int64_t)a[k - 1].val == r ? run_both + 1 : 0;
             ties_x += run_x;
             ties_both += run_both;
         }
@@ -459,10 +446,11 @@ static int put_digits(char *p, uint64_t u)
     return n;
 }
 
-/* Write v as CPython's repr(v) does, at most 24 bytes; return the end. */
-static char *put_double(char *p, double v, const uint64_t *g)
+/* Write the double whose bits are `bits` as CPython's repr does, at most 24
+ * bytes; return the end. */
+static char *put_double(char *p, uint64_t bits, const uint64_t *g)
 {
-    const uint64_t bits = bits_of(v), t = bits & ((1ULL << 52) - 1);
+    const uint64_t t = bits & ((1ULL << 52) - 1);
     const int64_t bq = (int64_t)(bits >> 52) & 0x7FF;
     if (bq == 0x7FF && t) {
         memcpy(p, "nan", 3);
@@ -526,7 +514,7 @@ int64_t kinex_format_rows(const uint64_t *cols, int64_t n, int64_t ncols, int64_
         for (int64_t c = 0; c < ncols; c++) {
             const uint64_t cell = cols[c * n + r];
             if (float_cols >> c & 1) {
-                p = put_double(p, double_of(cell), g);
+                p = put_double(p, cell, g);
             } else if ((int64_t)cell < 0) {
                 *p++ = '-';
                 p += put_digits(p, -cell);

@@ -407,7 +407,12 @@ def _check_output(output: dict) -> tuple[Path, str]:
         raise ConfigError(f"output dir must be a string, got {output['dir']!r}")
     if output["format"] not in ("csv", "json"):
         raise ConfigError(f"output format must be 'csv' or 'json', got {output['format']!r}")
-    return Path(output["dir"]), output["format"]
+    out_dir = Path(output["dir"])
+    # the nearest path that exists must be a directory, or making out_dir fails
+    existing = next(path for path in (out_dir, *out_dir.parents) if os.path.lexists(path))
+    if not existing.is_dir():
+        raise ConfigError(f"output dir {output['dir']!r}: {str(existing)!r} is not a directory")
+    return out_dir, output["format"]
 
 
 def build_parser() -> argparse.ArgumentParser:

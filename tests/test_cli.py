@@ -321,6 +321,16 @@ def test_failed_run_exits_one_without_traceback(tmp_path, monkeypatch, capsys,
     assert line.startswith("kinex: ") and line.endswith("MemoryError")
 
 
+def test_colliding_replicate_seeds_exit_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("kinex.sweep.replicate_seed", lambda *coordinates: 7)
+    out = tmp_path / "o"
+    assert run_cli(["sweep", "--config", write_config(tmp_path, SMALL_SWEEP),
+                    "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "kinex: replicate seed collision; choose a different base_seed"]
+    assert [p.name for p in out.iterdir()] == ["resolved_config.json"]
+
+
 class TestEmpirical:
     def test_shipped_table_and_percentile_defaults(self, tmp_path, table1_path):
         out = tmp_path / "emp"
@@ -389,6 +399,25 @@ class TestConfigHandling:
     def test_bad_output_format_rejected(self, tmp_path):
         cfg = write_config(tmp_path, {"output": {"format": "xml", "dir": str(tmp_path / "o")}})
         assert run_cli(["simulate", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("out", ["X", "X/sub"])
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "fit", "empirical"])
+    def test_output_dir_on_a_file_exits_two(self, tmp_path, monkeypatch, capsys, table1_path,
+                                            command, out):
+        # an existing file X as the output directory, or as one of its parents
+        inputs = {"X": b"a file, not a directory\n", "sim.json": json.dumps(SMALL_SIM).encode(),
+                  "sweep.json": json.dumps(SMALL_SWEEP).encode(),
+                  "table.csv": self.INPUTS["table.csv"].encode()}
+        for name, data in inputs.items():
+            (tmp_path / name).write_bytes(data)
+        extra = {"simulate": ["--config", "sim.json"], "sweep": ["--config", "sweep.json"],
+                 "fit": ["--table", "table.csv"], "empirical": ["--data", str(table1_path)]}
+        monkeypatch.chdir(tmp_path)
+        assert run_cli([command, "--out", out, *extra[command]]) == 2
+        [message] = capsys.readouterr().err.splitlines()
+        assert message == f"kinex: output dir {out!r}: 'X' is not a directory"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs)
+        assert (tmp_path / "X").read_bytes() == inputs["X"]
 
     def test_missing_data_file_rejected(self, tmp_path):
         assert run_cli(["empirical", "--data", str(tmp_path / "nope.csv"),

@@ -267,10 +267,12 @@ class TestRunSimulation:
         with pytest.raises(ValueError, match="overflow"):
             run_simulation(p)
 
-    @pytest.mark.parametrize("pool", [math.inf, math.nan])
-    def test_result_rejects_a_pool_that_is_not_finite(self, pool):
+    @pytest.mark.parametrize("pool, message", [(math.inf, "overflow"), (math.nan, "overflow"),
+                                               (-1.0, "must be non-negative")],
+                             ids=["inf", "nan", "negative"])
+    def test_result_rejects_a_pool_that_is_not_finite(self, pool, message):
         p = SimulationParams(n_agents=10, saving_rate=0.25, surplus_rate=0.5)
-        with pytest.raises(ValueError, match="overflow"):
+        with pytest.raises(ValueError, match=message):
             RunResult(snapshots={}, cumulative_pool=pool, params=p)
 
     def test_population_stays_non_negative(self):

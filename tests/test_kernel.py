@@ -357,7 +357,7 @@ class TestTau:
 
     @pytest.mark.parametrize("n", RADIX_SIZES)
     def test_c_counts_equal_numpy_on_keys_one_byte_apart(self, c_backend, n):
-        # every other radix pass is skipped: the keys share all their other bytes
+        # the keys share all their other bytes, so every other radix pass keeps their order
         rng = np.random.default_rng(n)
         low = rng.integers(0, 256, size=(2, n), dtype=np.uint64)
         one = np.uint64(0x3FF0_0000_0000_0000)  # 1.0
@@ -732,8 +732,9 @@ class TestBackendSelection:
 
 
 class TestKernelAB:
-    """``tools/kernel_ab.py``, the same-process A/B of ``kinex_run`` between two
-    versions of ``_kernel.c``, on tiny runs."""
+    """``tools/kernel_ab.py``, the same-process A/B of ``kinex_run``,
+    ``kinex_tau_counts`` and ``kinex_format_rows`` between two versions of
+    ``_kernel.c``, on tiny runs."""
 
     def ab(self, old: Path, new: Path) -> subprocess.CompletedProcess:
         if shutil.which("gcc") is None:
@@ -745,8 +746,11 @@ class TestKernelAB:
     def test_kernel_against_itself_is_the_null_ab(self):
         done = self.ab(KERNEL, KERNEL)
         assert done.returncode == 0, done.stderr
-        assert len(re.findall(r"^N=\d+ T=\d+ round [12]: new/old median \d\.\d{3} .*"
-                              r"new faster in \d of [24]$", done.stdout, re.M)) == 4, done.stdout
+        ratio, median = r"\d\.\d{3}", r"\d+\.\d"
+        assert len(re.findall(rf"^N=\d+ T=\d+ round [12]: new/old median run {ratio}, "
+                              rf"tau {ratio}, rows {ratio}; old {median}, {median}, {median} us; "
+                              r"new faster in \d, \d, \d of [24]$", done.stdout, re.M)) == 4, \
+            done.stdout
 
     def test_outputs_that_differ_fail(self, tmp_path):
         source = KERNEL.read_text()
@@ -756,3 +760,16 @@ class TestKernelAB:
         done = self.ab(KERNEL, changed)
         assert done.returncode == 1, done.stderr
         assert done.stdout == "N=10 T=300: outputs differ in call 0 of round 1\n"
+
+    # the same run, then one discordant pair too many, or rows that end in "\n\n"
+    @pytest.mark.parametrize("line, changed_line, what", [
+        ("    out[0] = discordant;", "    out[0] = discordant + 1;", "tau counts"),
+        ("    p[-1] = '\\r';", "    p[-1] = '\\n';", "row bytes")], ids=["tau", "rows"])
+    def test_counts_or_rows_that_differ_fail(self, tmp_path, line, changed_line, what):
+        source = KERNEL.read_text()
+        changed = tmp_path / "changed.c"
+        changed.write_text(source.replace(line, changed_line))
+        assert changed.read_text() != source
+        done = self.ab(KERNEL, changed)
+        assert done.returncode == 1, done.stderr
+        assert done.stdout == f"N=10 T=300: {what} differ in call 0 of round 1\n"

@@ -142,6 +142,16 @@ class TestRunSweep:
     def test_worker_count_does_not_change_results(self):
         assert run_sweep(small_spec(), workers=1) == run_sweep(small_spec(), workers=2)
 
+    @pytest.mark.parametrize("replicates", [1, 2])
+    def test_colliding_replicate_seeds_are_refused(self, monkeypatch, replicates):
+        monkeypatch.setattr(kinex.sweep, "replicate_seed", lambda *coordinates: 7)
+        ran = []
+        monkeypatch.setattr(kinex.sweep, "run_simulation", ran.append)
+        spec = small_spec(lambda_values=(0.2,), replicates=replicates)  # 2 or 4 jobs
+        with pytest.raises(RuntimeError, match="^replicate seed collision"):
+            run_sweep(spec, workers=1)
+        assert ran == []  # refused before any job runs
+
     def test_failures_carry_cell_coordinates(self, monkeypatch):
         started = []
 
