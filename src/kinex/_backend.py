@@ -13,9 +13,10 @@ step in both lanes), a C count of
 writer of :func:`_format_rows`' CSV rows. Its doubles take Schubfach's
 shortest digits (Giulietti 2020) in ``repr``'s layout, without the paper's
 two-digit minimum: its ``s >= 100`` guard and its ``10 * c`` path for
-subnormal significands ``c < 3`` are left out. :func:`_c_backend` builds
-the unit with the system ``gcc`` into a per-user cache and returns it only
-if its draws give ``_draw_block``'s values and generator state and its rows
+subnormal significands ``c < 3`` are left out. :func:`_build`, the only
+code that runs the system ``gcc`` on the unit, compiles it; :func:`_c_backend`
+has it build into a per-user cache on a miss and returns the unit only if
+its draws give ``_draw_block``'s values and generator state and its rows
 ``_format_rows``' bytes on fixed probes; ctypes checks the dtype,
 dimension, layout and, for the arrays C writes, writeability of each array
 handed to C.
@@ -81,16 +82,44 @@ def _pow10_table() -> np.ndarray:
     return table.ravel()
 
 
+def _build(source: bytes, library: Path, *flags: str) -> None:
+    """Compile the C ``source`` with ``_CFLAGS`` and ``flags`` into ``library``.
+
+    The only code that runs gcc on the unit. It writes a temporary file beside
+    ``library`` and renames it into place, so processes may build at once, and
+    removes it on any failure. Raises OSError when there is no ``gcc`` (before
+    making any directory), the build fails or the directory is unwritable.
+    """
+    import shutil
+    import subprocess
+    import tempfile
+
+    gcc = shutil.which("gcc")
+    if gcc is None:
+        raise OSError("no gcc on PATH")
+    library.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=library.parent)
+    os.close(fd)
+    try:
+        build = subprocess.run([gcc, *_CFLAGS, *flags, "-x", "c", "-", "-o", tmp],
+                               input=source, capture_output=True)
+        if build.returncode:
+            raise OSError(f"gcc failed: {build.stderr.decode(errors='replace').strip()}")
+        os.replace(tmp, library)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _c_backend() -> _Backend:
     """The ``"c"`` backend: ``_kernel.c``, built into the cache first if it is not
     there, whose draws have passed :func:`_check_draws` and rows :func:`_check_format`.
 
     The library is keyed by the SHA-256 of the source, the flags and the platform,
-    and compiled to a temporary file renamed into place, so processes may build at
-    once. Load modules are imported here to keep ``import kinex`` cheap, and
-    build modules only on a cache miss. Raises OSError when there is no ``gcc``,
-    the build fails or the cache is unwritable, and RuntimeError when there is no
-    home directory or a probe fails.
+    and built by :func:`_build` on a miss. Load modules are imported here to keep
+    ``import kinex`` cheap, and build modules only by :func:`_build`. Raises
+    OSError when there is no ``gcc``, the build fails or the cache is unwritable,
+    and RuntimeError when there is no home directory or a probe fails.
     """
     import ctypes
     import hashlib
@@ -103,25 +132,7 @@ def _c_backend() -> _Backend:
     cache = (Path(xdg) if os.path.isabs(xdg) else Path.home() / ".cache") / "kinex"
     path = cache / f"exchange-{key[:16]}.so"
     if not path.exists():
-        import shutil
-        import subprocess
-        import tempfile
-
-        gcc = shutil.which("gcc")
-        if gcc is None:
-            raise OSError("no gcc on PATH")
-        cache.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
-        os.close(fd)
-        try:
-            build = subprocess.run([gcc, *_CFLAGS, "-x", "c", "-", "-o", tmp],
-                                   input=source, capture_output=True)
-            if build.returncode:
-                raise OSError(f"gcc failed: {build.stderr.decode(errors='replace').strip()}")
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        _build(source, path)
     # ctypes refuses, with ArgumentError, any array whose memory C would misread,
     # and a read-only array where C writes
     i64, f64, u64 = (np.ctypeslib.ndpointer(t, ndim=1, flags="C_CONTIGUOUS")

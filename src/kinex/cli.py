@@ -164,17 +164,21 @@ def read_sweep_table(path: str | Path) -> list[SweepCell]:
     """Read a sweep table previously written by ``kinex sweep``.
 
     A JSON cell is read from its text, as a CSV cell is, and ``null`` reads
-    as an empty cell. A ParseError gives a CSV row's file line, or a JSON
-    row's position counting the column list as 1.
+    as an empty cell; the column list and each row must be JSON arrays. A
+    ParseError gives a CSV row's file line, or a JSON row's position counting
+    the column list as 1.
     """
     path = Path(path)
     if path.suffix == ".json":
         try:
             doc = json.loads(path.read_text(encoding="utf-8-sig"))
-            lines = list(enumerate([list(doc["columns"]), *doc["rows"]], start=1))
+            lines = list(enumerate([doc["columns"], *doc["rows"]], start=1))
         # ValueError covers JSONDecodeError and an integer too long for int()
         except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise ParseError(f"not a JSON sweep table: {exc!r}", 1) from None
+        for line_number, line in lines:  # else a string reads as its characters
+            if not isinstance(line, list):
+                raise ParseError(f"expected a JSON array, got {line!r:.40}", line_number)
     else:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             lines = _csv_rows(fh)
@@ -352,6 +356,8 @@ def cmd_empirical(args, config: dict, out_dir: Path, fmt: str) -> int:
         if not isinstance(thresholds, (list, tuple)) or len(thresholds) != 2:
             raise ConfigError(f"thresholds must be a [low, high] pair, got {thresholds!r}")
         try:  # float() of an int past the largest double raises OverflowError
+            if any(isinstance(t, bool) for t in thresholds):  # float(True) is 1.0
+                raise TypeError("a JSON boolean is not a number")
             thresholds = (float(thresholds[0]), float(thresholds[1]))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"thresholds must be numbers, got {thresholds!r}") from exc

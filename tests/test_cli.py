@@ -490,15 +490,23 @@ class TestConfigHandling:
         "true_g.json": json.dumps({"columns": ["lambda", "gamma", "mean_g", "mean_f", "mean_tau"],
                                    "rows": [[0.2, 0.5, True, 0.4, 0.1],
                                             [0.4, 0.5, 0.4, 0.3, 0.2]]}),
+        # rows that are not arrays: their characters or keys would read as the nine cells
+        "string_row.json": json.dumps({"columns": list(kinex.cli.SWEEP_COLUMNS),
+                                       "rows": ["123456781"]}),
+        "object_row.json": json.dumps({"columns": list(kinex.cli.SWEEP_COLUMNS),
+                                       "rows": [{str(k): k for k in range(1, 10)}]}),
+        "bool_thresholds.json": json.dumps({"empirical": {"thresholds": [False, True]}}),
     }
     # bad sweep tables -> the line reported: the header's, or the bad row's
     TABLE_ERROR_LINES = {"empty.csv": 1, "no_columns.csv": 1, "no_mean_tau.csv": 1,
                          "nan_f.csv": 2, "nan_tau.csv": 2, "inf_g.csv": 2,
                          "replicates_fraction.json": 3, "replicates_negative.json": 3,
-                         "replicates_true.json": 3, "true_g.json": 2}
+                         "replicates_true.json": 3, "true_g.json": 2, "string_row.json": 2,
+                         "object_row.json": 2}
     BAD_INPUTS = [
         (["empirical", "--thresholds", "650,450"], {}),
         (["empirical", "--thresholds", "400,inf"], {}),
+        (["empirical", "--config", "bool_thresholds.json"], {}),
         (["fit", "--table", "missing.csv"], {}),
         (["fit", "--table", "bad_row.csv"], {}),
         (["sweep", "--config", "sweep.json"], {"KINEX_THREADS": "abc"}),

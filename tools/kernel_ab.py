@@ -3,26 +3,26 @@
 
     python tools/kernel_ab.py OLD.c NEW.c [--size N T CALLS]... [--rounds R]
 
-Builds each file with ``gcc`` and ``kinex._backend._CFLAGS`` into a temporary
-directory and loads both libraries into this one process. Each call runs both
-``kinex_run``s from the same PCG64 state (``default_rng`` of the call's
-number), one after the other, alternating which goes first; lambda = 0.25,
-gamma = 0.5, a block of ``exchange._BLOCK`` steps and snapshots at 0.99 T and
-T. In the same order it then times both ``kinex_tau_counts`` on the call's two
-snapshot rows, and both ``kinex_format_rows`` on an ``agent,asset`` table of
-its last row, the table ``kinex simulate`` writes. Both libraries use the
-same arrays. The defaults are 4 rounds of 60 calls at N = 1000, T = 1e5 and
-of 200 calls at N = 100, T = 5e3. Each round prints NEW's median time over
-OLD's for the run, the tau counts and the rows, OLD's medians, and how many
-calls NEW won of each. Exits 1 unless both give the same snapshot rows, pool
-and generator state, the same pair counts and the same row bytes in every
-call. The same file twice is the null A/B.
+Each file is built through ``kinex._backend._build``, with kinex's flags,
+into a temporary directory, and both libraries are loaded into this one
+process. Each call runs both ``kinex_run``s from the same PCG64 state
+(``default_rng`` of the call's number), one after the other, alternating
+which goes first; lambda = 0.25, gamma = 0.5, a block of ``exchange._BLOCK``
+steps and snapshots at 0.99 T and T. In the same order it then times both
+``kinex_tau_counts`` on the call's two snapshot rows, and both
+``kinex_format_rows`` on an ``agent,asset`` table of its last row, the table
+``kinex simulate`` writes. Both libraries use the same arrays. The defaults
+are 4 rounds of 60 calls at N = 1000, T = 1e5 and of 200 calls at N = 100,
+T = 5e3. Each round prints NEW's median time over OLD's for the run, the tau
+counts and the rows, OLD's medians, and how many calls NEW won of each.
+Exits 1 unless both give the same snapshot rows, pool and generator state,
+the same pair counts and the same row bytes in every call. The same file
+twice is the null A/B.
 """
 
 import argparse
 import ctypes
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-from kinex._backend import _CFLAGS, _pow10_table  # noqa: E402
+from kinex._backend import _build, _pow10_table  # noqa: E402
 from kinex.exchange import _BLOCK  # noqa: E402
 
 LAMBDA, GAMMA = 0.25, 0.5
@@ -43,11 +43,11 @@ FUNCTIONS = {"run": "outputs", "tau": "tau counts", "rows": "row bytes"}
 
 def load(source: Path, library: Path):
     """``kinex_run``, ``kinex_tau_counts`` and ``kinex_format_rows`` of
-    ``source``, built with kinex's flags into ``library``."""
-    build = subprocess.run(["gcc", *_CFLAGS, "-x", "c", str(source), "-o", str(library)],
-                           capture_output=True, text=True)
-    if build.returncode:
-        sys.exit(f"kernel_ab: gcc failed on {source}: {build.stderr.strip()}")
+    ``source``, built through ``_build`` into ``library``."""
+    try:
+        _build(source.read_bytes(), library)
+    except OSError as exc:
+        sys.exit(f"kernel_ab: {source}: {exc}")
     lib = ctypes.CDLL(str(library))
     run, tau, rows = lib.kinex_run, lib.kinex_tau_counts, lib.kinex_format_rows
     run.restype = ctypes.c_double
